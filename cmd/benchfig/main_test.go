@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"tends/internal/experiments"
+	"tends/internal/journal"
 	"tends/internal/obs"
 )
 
@@ -42,11 +44,11 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal("bad -algos should fail before any work")
 	}
 	if _, err := run(ctx, runOpts{figNum: 1, repeats: 1, seed: 1, quiet: true,
-		checkpoint: "a.jsonl", resume: "b.jsonl"}); err == nil {
+		checkpoint: "a.journal", resume: "b.journal"}); err == nil {
 		t.Fatal("conflicting -checkpoint/-resume paths should fail")
 	}
 	if _, err := run(ctx, runOpts{figNum: 1, repeats: 1, seed: 1, quiet: true,
-		resume: t.TempDir() + "/missing.jsonl"}); err == nil {
+		resume: t.TempDir() + "/missing.journal"}); err == nil {
 		t.Fatal("missing -resume journal should fail")
 	}
 	for name, o := range map[string]runOpts{
@@ -72,12 +74,12 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// A journal with corrupt lines (a crash mid-append) still resumes: the
-// intact cells are restored, and the skipped-line count lands on the
-// recorder so an -obs-json snapshot records the loss.
+// A journal with a torn tail (a crash mid-append) still resumes: the intact
+// cells are restored, the tail is truncated so new cells append cleanly,
+// and the damage lands on the recorder so an -obs-json snapshot records it.
 func TestLoadResumeCountsCorruptLines(t *testing.T) {
-	var buf bytes.Buffer
-	j, err := experiments.NewJournal(&buf, 5, 1)
+	path := filepath.Join(t.TempDir(), "run.journal")
+	j, err := experiments.CreateJournal(path, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,29 +87,55 @@ func TestLoadResumeCountsCorruptLines(t *testing.T) {
 	if err := j.Append(0, meas); err != nil {
 		t.Fatal(err)
 	}
-	buf.WriteString("{\"truncated\":\n")
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.New()
-	cells, err := loadResume(path, 5, 1, false, rec)
+	j.Close()
+	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	torn := append(append([]byte(nil), clean...), 50, 0, 0, 0, '{', '"')
+	tear := func() {
+		t.Helper()
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	tear()
+	rec := obs.New()
+	j, cells, err := resumeJournal(path, 5, 1, false, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
 	if len(cells) != 1 {
 		t.Fatalf("restored %d cells, want 1", len(cells))
 	}
-	if got := rec.Snapshot().Counters["benchfig/journal_corrupt_lines"]; got != 1 {
-		t.Fatalf("journal_corrupt_lines = %d, want 1", got)
+	if got := rec.Snapshot().Counters["benchfig/journal_damage"]; got != 1 {
+		t.Fatalf("journal_damage = %d, want 1", got)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, clean) {
+		t.Fatal("lenient resume did not truncate the torn tail")
 	}
 	// A nil recorder must not panic — resume without -obs-json.
-	if _, err := loadResume(path, 5, 1, false, nil); err != nil {
+	tear()
+	if j, _, err := resumeJournal(path, 5, 1, false, nil); err != nil {
 		t.Fatal(err)
+	} else {
+		j.Close()
 	}
-	// -resume-strict refuses the same damaged journal with the line position.
-	if _, err := loadResume(path, 5, 1, true, nil); !errors.Is(err, experiments.ErrJournalCorrupt) {
-		t.Fatalf("strict resume of damaged journal: err = %v, want ErrJournalCorrupt", err)
+	// -resume-strict refuses the same damaged journal with the byte position
+	// and leaves it as it was.
+	tear()
+	_, _, err = resumeJournal(path, 5, 1, true, nil)
+	if !errors.Is(err, journal.ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("byte %d", len(clean))) {
+		t.Fatalf("strict resume of damaged journal: err = %v, want ErrCorrupt at byte %d", err, len(clean))
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, torn) {
+		t.Fatal("strict resume modified the journal")
+	}
+	// A journal from another run is refused.
+	if _, _, err := resumeJournal(path, 6, 1, false, nil); err == nil || !strings.Contains(err.Error(), "seed 5") {
+		t.Fatalf("seed mismatch accepted: %v", err)
 	}
 }
 

@@ -65,7 +65,7 @@ func registerScaleFlags(s *scaleOpts) {
 	flag.Float64Var(&s.mu, "scale-mu", 0.08, "scale study: mean per-edge propagation probability (subcritical keeps co-pairs sparse)")
 	flag.BoolVar(&s.sparse, "sparse", false, "use the sparse candidate engine (bit-identical results, sub-quadratic pairwise stage)")
 	flag.StringVar(&s.shardSpec, "shard", "", `run one shard of the scale study, e.g. "0/4"; requires -checkpoint for the shard journal`)
-	flag.StringVar(&s.mergeSpec, "merge", "", `comma-separated shard journals (globs allowed, e.g. 'shards/*.jsonl') to merge into the final topology`)
+	flag.StringVar(&s.mergeSpec, "merge", "", `comma-separated shard journals (globs allowed, e.g. 'shards/*.journal') to merge into the final topology`)
 	flag.IntVar(&s.superviseK, "supervise", 0, "supervise k shard worker subprocesses end to end: launch, monitor, restart, resume, hedge, and merge (requires -scale)")
 	flag.DurationVar(&s.shardDeadline, "shard-deadline", 0, "supervise: kill and retry a shard attempt running longer than this (0 = none)")
 	flag.IntVar(&s.shardRetries, "shard-retries", 2, "supervise: restarts granted to a failed shard before the merge degrades without it")
@@ -144,7 +144,7 @@ func expandMergeSpec(spec string) ([]string, error) {
 	return paths, nil
 }
 
-// validateShardSet peeks at every journal's header (first line only) and
+// validateShardSet peeks at every journal's header (no records) and
 // reports, up front, which shard indices of the set are missing — so an
 // operator learns "missing indices [2 5]" instead of a generic merge error
 // after minutes of parsing. Identity mismatches surface here too.
@@ -152,12 +152,7 @@ func validateShardSet(paths []string) (present map[int][]string, count int, miss
 	var ref *experiments.ShardHeader
 	present = make(map[int][]string)
 	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		h, herr := experiments.ReadShardHeader(f)
-		f.Close()
+		h, herr := experiments.ReadShardHeader(path)
 		if herr != nil {
 			return nil, 0, nil, fmt.Errorf("%s: %w", path, herr)
 		}
@@ -177,57 +172,30 @@ func validateShardSet(paths []string) (present map[int][]string, count int, miss
 	return present, ref.ShardCount, missing, nil
 }
 
-// loadShardJournals parses full shard journals, lenient by default (each
-// skipped line reported to stderr with its position), strict under
-// -resume-strict.
-func loadShardJournals(paths []string, strict bool) ([]*experiments.ShardHeader, []map[int][]int, error) {
+// loadShardJournals parses full shard journals, lenient by default (a
+// damaged tail is reported to stderr with its position and the nodes
+// before it kept), strict under -resume-strict. A journal that fails to
+// load is an error, unless degraded is set: then it is dropped with a
+// stderr warning and the degraded merge accounts for its nodes.
+func loadShardJournals(paths []string, strict, degraded bool) ([]*experiments.ShardHeader, []map[int][]int, error) {
 	var headers []*experiments.ShardHeader
 	var nodes []map[int][]int
 	for _, path := range paths {
-		f, err := os.Open(path)
+		h, ns, damage, err := experiments.LoadShardJournal(path, strict)
 		if err != nil {
-			return nil, nil, err
+			if !degraded {
+				return nil, nil, fmt.Errorf("%s: %w", path, err)
+			}
+			fmt.Fprintf(os.Stderr, "benchfig: degraded merge: dropping %s: %v\n", path, err)
+			continue
 		}
-		h, ns, warnings, err := experiments.LoadShardJournal(f, strict)
-		f.Close()
-		for _, w := range warnings {
-			fmt.Fprintf(os.Stderr, "benchfig: %s: %s\n", path, w)
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", path, err)
+		if damage != nil {
+			fmt.Fprintf(os.Stderr, "benchfig: %s: %v\n", path, damage)
 		}
 		headers = append(headers, h)
 		nodes = append(nodes, ns)
 	}
 	return headers, nodes, nil
-}
-
-// loadShardJournalsDegraded parses shard journals for a degraded merge:
-// journals that fail to load at all are dropped with a stderr warning
-// instead of failing the merge, and per-line damage is reported the same
-// way the lenient loader always does.
-func loadShardJournalsDegraded(paths []string) ([]*experiments.ShardHeader, []map[int][]int) {
-	var headers []*experiments.ShardHeader
-	var nodes []map[int][]int
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: degraded merge: dropping %s: %v\n", path, err)
-			continue
-		}
-		h, ns, warnings, lerr := experiments.LoadShardJournal(f, false)
-		f.Close()
-		for _, w := range warnings {
-			fmt.Fprintf(os.Stderr, "benchfig: %s: %s\n", path, w)
-		}
-		if lerr != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: degraded merge: dropping %s: %v\n", path, lerr)
-			continue
-		}
-		headers = append(headers, h)
-		nodes = append(nodes, ns)
-	}
-	return headers, nodes
 }
 
 // runScale executes the scale study in one of four modes: a full run, one
@@ -284,7 +252,7 @@ func runScale(ctx context.Context, o runOpts, s scaleOpts) (int, error) {
 			// search started leaves an empty file), truncated journals, and
 			// absent shards. Unloadable journals are dropped with a warning;
 			// the report accounts for every node they would have carried.
-			headers, nodes := loadShardJournalsDegraded(paths)
+			headers, nodes, _ := loadShardJournals(paths, false, true)
 			if len(headers) == 0 {
 				return exitErr, fmt.Errorf("merge: none of the %d journals is usable", len(paths))
 			}
@@ -306,7 +274,7 @@ func runScale(ctx context.Context, o runOpts, s scaleOpts) (int, error) {
 			return exitErr, fmt.Errorf("merge: shard set incomplete: have %d of %d shards, missing indices %v (pass -merge-degraded to merge the partial topology)",
 				len(present), count, missing)
 		}
-		headers, nodes, err := loadShardJournals(paths, o.resumeStrict)
+		headers, nodes, err := loadShardJournals(paths, o.resumeStrict, false)
 		if err != nil {
 			return exitErr, err
 		}
@@ -314,9 +282,7 @@ func runScale(ctx context.Context, o runOpts, s scaleOpts) (int, error) {
 		if err != nil {
 			return exitErr, err
 		}
-		fmt.Printf("scale merge: n=%d shards=%d threshold=%.6g edges=%d\n",
-			cfg.N, len(headers), merged.Threshold, merged.Graph.NumEdges())
-		fmt.Printf("P=%.4f R=%.4f F=%.4f\n", merged.Score.Precision, merged.Score.Recall, merged.Score.F)
+		printMerge(cfg, len(headers), merged)
 		return exitOK, writeObs()
 
 	case s.shardSpec != "":
@@ -350,6 +316,13 @@ func runScale(ctx context.Context, o runOpts, s scaleOpts) (int, error) {
 			res.WorkloadDur.Round(time.Millisecond), res.InferDur.Round(time.Millisecond))
 		return exitOK, writeObs()
 	}
+}
+
+// printMerge renders a complete merge's topology stats and scores.
+func printMerge(cfg experiments.ScaleConfig, shards int, merged *experiments.MergedScaleResult) {
+	fmt.Printf("scale merge: n=%d shards=%d threshold=%.6g edges=%d\n",
+		cfg.N, shards, merged.Threshold, merged.Graph.NumEdges())
+	fmt.Printf("P=%.4f R=%.4f F=%.4f\n", merged.Score.Precision, merged.Score.Recall, merged.Score.F)
 }
 
 // printDegradedMerge renders a degraded merge: the partial topology's

@@ -114,7 +114,7 @@ func runSupervised(ctx context.Context, o runOpts, s scaleOpts, cfg experiments.
 		Shards: s.superviseK,
 		N:      s.n,
 		JournalPath: func(shard int) string {
-			return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", shard))
+			return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", shard))
 		},
 		Launch: supervise.ProcLauncher{
 			Command: func(a supervise.Attempt) []string {
@@ -168,35 +168,20 @@ func runSupervised(ctx context.Context, o runOpts, s scaleOpts, cfg experiments.
 		writeSuperviseReport(s.superviseReport, buildSuperviseReport(s, result, nil, nil, injector, rec))
 		return exitErr, errors.New("supervise: no shard completed; nothing to merge")
 	}
-	headers, nodes, err := loadShardJournals(paths, false)
+	headers, nodes, err := loadShardJournals(paths, false, false)
 	if err != nil {
 		return exitErr, err
 	}
 
-	var merged *experiments.MergedScaleResult
-	var rep *experiments.MergeReport
-	if result.Complete() {
-		merged, err = experiments.MergeScaleShards(ctx, cfg, headers, nodes)
-		if err != nil {
-			return exitErr, err
-		}
-		rep = &experiments.MergeReport{
-			N:           cfg.N,
-			ShardCount:  s.superviseK,
-			MergedNodes: cfg.N,
-			Complete:    true,
-		}
-		for i := 0; i < s.superviseK; i++ {
-			rep.PresentShards = append(rep.PresentShards, i)
-		}
-		fmt.Printf("scale merge: n=%d shards=%d threshold=%.6g edges=%d\n",
-			cfg.N, len(headers), merged.Threshold, merged.Graph.NumEdges())
-		fmt.Printf("P=%.4f R=%.4f F=%.4f\n", merged.Score.Precision, merged.Score.Recall, merged.Score.F)
+	// Completed shards hold one whole journal each, so the degraded merge of
+	// a complete run is the strict merge, and its report says so.
+	merged, rep, err := experiments.MergeScaleShardsDegraded(ctx, cfg, headers, nodes)
+	if err != nil {
+		return exitErr, err
+	}
+	if rep.Complete {
+		printMerge(cfg, len(headers), merged)
 	} else {
-		merged, rep, err = experiments.MergeScaleShardsDegraded(ctx, cfg, headers, nodes)
-		if err != nil {
-			return exitErr, err
-		}
 		printDegradedMerge(cfg, merged, rep)
 	}
 
@@ -212,7 +197,7 @@ func runSupervised(ctx context.Context, o runOpts, s scaleOpts, cfg experiments.
 	if err := writeSuperviseReport(s.superviseReport, buildSuperviseReport(s, result, merged, rep, injector, rec)); err != nil {
 		return exitErr, err
 	}
-	if !result.Complete() {
+	if !rep.Complete {
 		return exitFailedCells, nil
 	}
 	return exitOK, nil

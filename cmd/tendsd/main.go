@@ -112,7 +112,7 @@ func serviceFlags(fs *flag.FlagSet, cfg *serve.Config) (chaosSpec *string, chaos
 	fs.DurationVar(&cfg.Debounce, "debounce", 0, "quiet period after the last ingest before recomputing (default 100ms)")
 	fs.DurationVar(&cfg.MaxLag, "max-lag", 0, "max topology staleness under a continuous stream (default 2s)")
 	fs.IntVar(&cfg.SnapshotEvery, "snapshot-every", 0, "persist a snapshot every this many acked rows (0 = only on drain)")
-	fs.BoolVar(&cfg.StrictWAL, "strict-wal", false, "refuse to start on a torn WAL tail instead of truncating it")
+	fs.BoolVar(&cfg.StrictWAL, "strict-wal", false, "refuse to start on a damaged WAL (torn tail or corrupt frame) instead of truncating it")
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", 0, "graceful-drain budget on SIGTERM/SIGINT; a breach prints a durability summary and exits 4 (default 30s)")
 	chaosSpec = fs.String("chaos", "", "chaos spec, e.g. \"serve.wal.fsync=0.01,serve.recompute:delay=0.1\"")
 	chaosSeed = fs.Int64("chaos-seed", 1, "chaos decision seed")

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tends/internal/graph"
@@ -78,29 +78,37 @@ func TestInferOnSearchStart(t *testing.T) {
 }
 
 // TestInferOnNodeDone checks every searched node is reported exactly once
-// with its final parents, at both serial and parallel worker counts.
+// with its final parents, one call at a time and in ascending node order,
+// at both serial and parallel worker counts.
 func TestInferOnNodeDone(t *testing.T) {
 	g := graph.Chain(12)
 	g.Symmetrize()
 	sm := simulateOn(t, g, 0.4, 0.1, 1000, 5)
 	for _, workers := range []int{1, 4} {
-		var mu sync.Mutex
+		var inCall atomic.Int32
+		var order []int
 		got := make(map[int][]int)
 		res, err := Infer(sm, Options{
 			Workers:   workers,
 			SkipNodes: map[int]bool{3: true},
 			OnNodeDone: func(node int, parents []int) error {
-				mu.Lock()
-				defer mu.Unlock()
+				if inCall.Add(1) != 1 {
+					return errors.New("concurrent callbacks")
+				}
+				defer inCall.Add(-1)
 				if _, dup := got[node]; dup {
 					return errors.New("duplicate callback")
 				}
+				order = append(order, node)
 				got[node] = append([]int(nil), parents...)
 				return nil
 			},
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !sort.IntsAreSorted(order) {
+			t.Fatalf("workers=%d: callbacks out of node order: %v", workers, order)
 		}
 		var nodes []int
 		for n := range got {

@@ -139,14 +139,19 @@ type Options struct {
 	// records start streaming.
 	OnSearchStart func(threshold float64) error
 
-	// OnNodeDone, when non-nil, is called after each searched node with its
-	// final parent set (nodes outside the shard or in SkipNodes are never
-	// reported). Calls come from the search workers, possibly concurrently;
-	// the callback must be safe for concurrent use. The first returned
-	// error cancels the remaining search and fails the inference (unless
-	// degradation is enabled, in which case the error still fails the
-	// inference after the degraded search drains). The supervised shard
-	// worker uses it to journal each node as soon as it completes.
+	// OnNodeDone, when non-nil, is called with each fully searched node's
+	// final parent set, one call at a time, in ascending node order at any
+	// worker count. Finished nodes are committed through a cursor over the
+	// searched nodes: a node finished ahead of a smaller one still in
+	// flight waits for it, so a call can lag its node's search by the
+	// searches in flight. Nodes outside the shard or in SkipNodes are never
+	// reported, and a degraded or cancelled node advances the cursor
+	// without a call. The first returned error cancels the remaining search
+	// and fails the inference (unless degradation is enabled, in which case
+	// the error still fails the inference after the degraded search
+	// drains), and no later call is made. The supervised shard worker uses
+	// it to journal node records in node order, so a journal's bytes do not
+	// depend on scheduling.
 	OnNodeDone func(node int, parents []int) error
 
 	// ShardIndex/ShardCount split the node-local parent search across
@@ -408,23 +413,62 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 	// OnNodeDone errors cancel the remaining search through a sub-context;
 	// the first error wins and fails the inference after the workers drain.
 	sctx := ctx
-	var hookMu sync.Mutex
 	var hookErr error
-	onNodeErr := func(err error) {}
+	reasons := make([]DegradeReason, n)
+	finish := func(i int, ran bool) {}
 	if opt.OnNodeDone != nil {
 		var cancel context.CancelFunc
 		sctx, cancel = context.WithCancel(ctx)
 		defer cancel()
-		onNodeErr = func(err error) {
-			hookMu.Lock()
-			if hookErr == nil {
-				hookErr = err
-				cancel()
+		// The commit cursor: next is the first dispatched node not yet
+		// committed, and done marks finished nodes (searched fully, or
+		// skipped on cancellation). The goroutine that finds no commit in
+		// progress becomes the committer and walks the cursor over every
+		// finished node, calling the hook outside commitMu; finishers that
+		// arrive meanwhile only mark their node. Calls are therefore serial
+		// and ascending.
+		const skipped, searched = 1, 2
+		done := make([]uint8, n)
+		var commitMu sync.Mutex
+		next, committing := 0, false
+		finish = func(i int, ran bool) {
+			commitMu.Lock()
+			defer commitMu.Unlock()
+			done[i] = skipped
+			if ran {
+				done[i] = searched
 			}
-			hookMu.Unlock()
+			if committing {
+				return
+			}
+			committing = true
+			defer func() { committing = false }()
+			for ; next < n; next++ {
+				if !inShard(next) {
+					continue
+				}
+				if done[next] == 0 {
+					return
+				}
+				// Only fully searched nodes reach the callback: a node cut
+				// short (degraded or cancelled) has a partial answer the
+				// journal must not record as complete.
+				if hookErr != nil || done[next] != searched || reasons[next] != DegradeNone {
+					continue
+				}
+				node := next
+				err := func() error {
+					commitMu.Unlock()
+					defer commitMu.Lock()
+					return opt.OnNodeDone(node, res.Parents[node])
+				}()
+				if err != nil {
+					hookErr = err
+					cancel()
+				}
+			}
 		}
 	}
-	reasons := make([]DegradeReason, n)
 	searchNode := func(i int) {
 		nodeTau := tau
 		if perNode {
@@ -437,14 +481,7 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 			sort.Ints(cands)
 		}
 		res.Parents[i], reasons[i] = searchParents(sctx, scorer, i, cands, opt, tel)
-		// Only fully searched nodes reach the callback: a node cut short
-		// (degraded or cancelled) has a partial answer the journal must not
-		// record as complete.
-		if opt.OnNodeDone != nil && reasons[i] == DegradeNone {
-			if err := opt.OnNodeDone(i, res.Parents[i]); err != nil {
-				onNodeErr(err)
-			}
-		}
+		finish(i, true)
 	}
 
 	workers := opt.Workers
@@ -464,6 +501,7 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 					break
 				}
 				reasons[i] = DegradeCancelled
+				finish(i, false)
 				continue
 			}
 			searchNode(i)
@@ -485,6 +523,7 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 						if degrade {
 							reasons[i] = DegradeCancelled
 						}
+						finish(i, false)
 						continue
 					}
 					searchNode(i)
@@ -500,11 +539,8 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 		wg.Wait()
 	}
 	searchSpan.End()
-	hookMu.Lock()
-	ferr := hookErr
-	hookMu.Unlock()
-	if ferr != nil {
-		return nil, fmt.Errorf("core: node callback: %w", ferr)
+	if hookErr != nil {
+		return nil, fmt.Errorf("core: node callback: %w", hookErr)
 	}
 	if err := ctx.Err(); err != nil && !degrade {
 		return nil, fmt.Errorf("core: parent search: %w", err)

@@ -1,18 +1,13 @@
 package experiments
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"sync"
 	"time"
-)
 
-// JournalVersion is the checkpoint format version written to headers and
-// required on load.
-const JournalVersion = 1
+	"tends/internal/journal"
+)
 
 // CellKey identifies one (figure, point, algorithm) cell across runs. The
 // point is keyed by index, not label, so resume stays exact even if two
@@ -23,19 +18,19 @@ type CellKey struct {
 	Algorithm  Algorithm
 }
 
-// JournalHeader is the first record of a checkpoint journal. A resumed run
-// must match the header's seed and repeats, otherwise restored cells would
-// be silently inconsistent with freshly computed ones.
+// JournalHeader is the header of a checkpoint journal. A resumed run must
+// match the header's seed and repeats, otherwise restored cells would be
+// silently inconsistent with freshly computed ones.
 type JournalHeader struct {
 	Type    string `json:"type"` // "header"
-	Version int    `json:"version"`
 	Seed    int64  `json:"seed"`
 	Repeats int    `json:"repeats"`
 }
 
-// journalCell is one completed (point, algorithm) cell, serialized as a
-// JSONL record. Floats round-trip exactly through encoding/json (shortest
-// representation), so a restored cell reproduces the original report bytes.
+// journalCell is one completed (point, algorithm) cell, serialized as one
+// JSON journal record. Floats round-trip exactly through encoding/json
+// (shortest representation), so a restored cell reproduces the original
+// report bytes.
 type journalCell struct {
 	Type          string  `json:"type"` // "cell"
 	Figure        string  `json:"figure"`
@@ -65,29 +60,60 @@ type journalCell struct {
 	MetricsNS  int64 `json:"metrics_ns,omitempty"`
 }
 
-// Journal appends completed-cell records to a checkpoint stream, one JSON
-// object per line. Appends are serialized and unbuffered: each record
-// reaches the underlying writer before Append returns, so a run killed
-// mid-sweep loses at most the cells still in flight.
+// Journal appends completed-cell records to a checkpoint journal (see
+// package journal for the format). Appends are serialized and unbuffered:
+// each record reaches the file before Append returns, so a run killed
+// mid-sweep loses at most the cells still in flight. Appends are not
+// synced; a checkpoint guards against a killed process, not a lost machine.
 type Journal struct {
-	mu sync.Mutex
-	w  io.Writer
+	log *journal.Log
 }
 
-// NewJournal starts a fresh checkpoint journal on w by writing its header.
-func NewJournal(w io.Writer, seed int64, repeats int) (*Journal, error) {
-	j := &Journal{w: w}
-	if err := j.writeRecord(JournalHeader{Type: "header", Version: JournalVersion, Seed: seed, Repeats: repeats}); err != nil {
-		return nil, fmt.Errorf("write header: %w", err)
+// CreateJournal starts a fresh checkpoint journal at path, replacing any
+// existing file.
+func CreateJournal(path string, seed int64, repeats int) (*Journal, error) {
+	hdr, err := json.Marshal(JournalHeader{Type: "header", Seed: seed, Repeats: repeats})
+	if err != nil {
+		return nil, err
 	}
-	return j, nil
+	log, err := journal.Create(path, hdr)
+	if err != nil {
+		return nil, err
+	}
+	return &Journal{log: log}, nil
 }
 
-// ResumeJournal continues an existing journal on w (opened for append);
-// the header is already present, so none is written.
-func ResumeJournal(w io.Writer) *Journal {
-	return &Journal{w: w}
+// Checkpoint is what a resumed checkpoint journal holds: its header, the
+// completed cells (a later record for the same cell wins), and where
+// reading stopped early, if it did. Cells past the damage are lost and get
+// recomputed.
+type Checkpoint struct {
+	Header JournalHeader
+	Cells  map[CellKey]Measurement
+	Damage *journal.Damage
 }
+
+// ResumeJournal reopens the checkpoint journal at path to continue it. A
+// damaged frame — a torn tail from a kill mid-append, or mid-file
+// corruption — ends the read; leniently it is truncated away so appended
+// cells start on a frame boundary, strictly it is refused with an error
+// wrapping journal.ErrCorrupt. A damaged header or a record that passes
+// its checksum but is not a valid cell is an error in either mode.
+func ResumeJournal(path string, strict bool) (*Journal, *Checkpoint, error) {
+	log, c, err := journal.Open(path, strict)
+	if err != nil {
+		return nil, nil, err
+	}
+	cp, err := decodeCheckpoint(c)
+	if err != nil {
+		log.Close()
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &Journal{log: log}, cp, nil
+}
+
+// Close closes the journal file.
+func (j *Journal) Close() error { return j.log.Close() }
 
 // Append records one completed cell. pointIndex is the cell's position in
 // its figure's sweep, the resume key alongside the measurement's own
@@ -125,167 +151,55 @@ func (j *Journal) Append(pointIndex int, m Measurement) error {
 	if m.Err != nil {
 		rec.Error = m.Err.Error()
 	}
-	return j.writeRecord(rec)
-}
-
-func (j *Journal) writeRecord(rec any) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_, err = j.w.Write(b)
-	return err
+	return j.log.Append(b)
 }
 
-// maxJournalLine bounds a single journal record; real records are a few
-// hundred bytes, so anything larger is corruption.
-const maxJournalLine = 1 << 20
-
-// ErrJournalCorrupt reports a journal line a strict load refuses to skip.
-// It is the checkpoint analogue of the streaming service's strict-WAL
-// policy: lenient tooling truncates or skips damage and reports where,
-// strict tooling stops so an operator can decide.
-var ErrJournalCorrupt = errors.New("checkpoint journal corrupt")
-
-// JournalWarning pinpoints one skipped journal line: its 1-based line
-// number, the byte offset of the line start (assuming \n line endings, the
-// only kind the journal writer emits), and why it was skipped. The offsets
-// let tooling excise or inspect the damage with dd/sed rather than
-// re-deriving positions from a count.
-type JournalWarning struct {
-	Line   int
-	Offset int64
-	Reason string
-}
-
-func (w JournalWarning) String() string {
-	return fmt.Sprintf("line %d (byte %d): %s", w.Line, w.Offset, w.Reason)
-}
-
-// LoadJournal parses a checkpoint journal. Corrupt or truncated lines —
-// the expected tail state of a journal cut off by a kill — are skipped,
-// each reported with its exact position in the returned warnings; a later
-// record for the same cell wins. In strict mode the first such line is
-// instead a hard error wrapping ErrJournalCorrupt (mirroring the service
-// WAL's strict-open policy). Always-hard errors, either mode: an
-// unreadable stream and a missing or incompatible header, which make
-// every record untrustworthy.
-func LoadJournal(r io.Reader, strict bool) (*JournalHeader, map[CellKey]Measurement, []JournalWarning, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxJournalLine)
-	var header *JournalHeader
-	cells := make(map[CellKey]Measurement)
-	var warnings []JournalWarning
-	lineNo := 0
-	var offset, lineStart int64
-	skip := func(format string, a ...any) error {
-		w := JournalWarning{Line: lineNo, Offset: lineStart, Reason: fmt.Sprintf(format, a...)}
-		if strict {
-			return fmt.Errorf("%w: line %d (byte %d): %s", ErrJournalCorrupt, w.Line, w.Offset, w.Reason)
-		}
-		warnings = append(warnings, w)
-		return nil
+// decodeCheckpoint parses a checkpoint journal's header and cell records.
+func decodeCheckpoint(c journal.Contents) (*Checkpoint, error) {
+	cp := &Checkpoint{Cells: make(map[CellKey]Measurement), Damage: c.Damage}
+	if err := json.Unmarshal(c.Header, &cp.Header); err != nil || cp.Header.Type != "header" {
+		return nil, fmt.Errorf("%w: not a checkpoint journal header", journal.ErrCorrupt)
 	}
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		lineStart = offset
-		offset += int64(len(line)) + 1
-		if len(line) == 0 {
-			continue
+	for i, payload := range c.Records {
+		var rec journalCell
+		if err := json.Unmarshal(payload, &rec); err != nil || rec.Type != "cell" ||
+			rec.PointIndex < 0 || rec.Figure == "" || rec.Algorithm == "" {
+			return nil, fmt.Errorf("%w: checkpoint record %d is not a valid cell", journal.ErrCorrupt, i)
 		}
-		var probe struct {
-			Type string `json:"type"`
+		m := Measurement{
+			Figure:        rec.Figure,
+			Point:         rec.Point,
+			Algorithm:     Algorithm(rec.Algorithm),
+			F:             rec.F,
+			FStd:          rec.FStd,
+			Precision:     rec.Precision,
+			Recall:        rec.Recall,
+			Runtime:       time.Duration(rec.RuntimeNS),
+			Completed:     rec.Completed,
+			FailedRepeats: rec.FailedRepeats,
+			DegradedNodes: rec.DegradedNodes,
+			PhaseWorkload: time.Duration(rec.WorkloadNS),
+			PhaseInfer:    time.Duration(rec.InferNS),
+			PhaseMetrics:  time.Duration(rec.MetricsNS),
+			Model:         rec.Model,
+			Delay:         rec.Delay,
+			Missing:       rec.Missing,
+			Uncertain:     rec.Uncertain,
 		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			if err := skip("skipping corrupt record: %v", err); err != nil {
-				return header, cells, warnings, err
-			}
-			continue
+		if m.Model == "" {
+			m.Model = "ic"
 		}
-		switch probe.Type {
-		case "header":
-			var h JournalHeader
-			if err := json.Unmarshal(line, &h); err != nil {
-				if err := skip("skipping corrupt header: %v", err); err != nil {
-					return header, cells, warnings, err
-				}
-				continue
-			}
-			if header != nil {
-				if err := skip("ignoring duplicate header"); err != nil {
-					return header, cells, warnings, err
-				}
-				continue
-			}
-			if h.Version != JournalVersion {
-				return nil, nil, warnings, fmt.Errorf("checkpoint journal version %d, want %d", h.Version, JournalVersion)
-			}
-			header = &h
-		case "cell":
-			var c journalCell
-			if err := json.Unmarshal(line, &c); err != nil {
-				if err := skip("skipping corrupt cell: %v", err); err != nil {
-					return header, cells, warnings, err
-				}
-				continue
-			}
-			if header == nil {
-				if err := skip("skipping cell before header"); err != nil {
-					return header, cells, warnings, err
-				}
-				continue
-			}
-			if c.PointIndex < 0 || c.Figure == "" || c.Algorithm == "" {
-				if err := skip("skipping cell with invalid identity"); err != nil {
-					return header, cells, warnings, err
-				}
-				continue
-			}
-			m := Measurement{
-				Figure:        c.Figure,
-				Point:         c.Point,
-				Algorithm:     Algorithm(c.Algorithm),
-				F:             c.F,
-				FStd:          c.FStd,
-				Precision:     c.Precision,
-				Recall:        c.Recall,
-				Runtime:       time.Duration(c.RuntimeNS),
-				Completed:     c.Completed,
-				FailedRepeats: c.FailedRepeats,
-				DegradedNodes: c.DegradedNodes,
-				PhaseWorkload: time.Duration(c.WorkloadNS),
-				PhaseInfer:    time.Duration(c.InferNS),
-				PhaseMetrics:  time.Duration(c.MetricsNS),
-				Model:         c.Model,
-				Delay:         c.Delay,
-				Missing:       c.Missing,
-				Uncertain:     c.Uncertain,
-			}
-			if m.Model == "" {
-				m.Model = "ic"
-			}
-			if m.Delay == "" {
-				m.Delay = "exp"
-			}
-			if c.Error != "" {
-				m.Err = errors.New(c.Error)
-			}
-			cells[CellKey{Figure: c.Figure, PointIndex: c.PointIndex, Algorithm: m.Algorithm}] = m
-		default:
-			if err := skip("skipping unknown record type %q", probe.Type); err != nil {
-				return header, cells, warnings, err
-			}
+		if m.Delay == "" {
+			m.Delay = "exp"
 		}
+		if rec.Error != "" {
+			m.Err = errors.New(rec.Error)
+		}
+		cp.Cells[CellKey{Figure: rec.Figure, PointIndex: rec.PointIndex, Algorithm: m.Algorithm}] = m
 	}
-	if err := sc.Err(); err != nil {
-		return header, cells, warnings, fmt.Errorf("read checkpoint journal: %w", err)
-	}
-	if header == nil {
-		return nil, nil, warnings, errors.New("checkpoint journal has no header record")
-	}
-	return header, cells, warnings, nil
+	return cp, nil
 }

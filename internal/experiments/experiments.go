@@ -168,12 +168,12 @@ type Config struct {
 	// deterministic at any worker count because the attempt sequence runs
 	// inside the owning task. Run-level cancellation is never retried.
 	Retries int
-	// Checkpoint, when non-nil, receives one JSONL record per fully
+	// Checkpoint, when non-nil, receives one journal record per fully
 	// completed (point, algorithm) cell, appended as soon as the cell's
 	// last repeat finishes. See Journal.
 	Checkpoint *Journal
 	// Resume maps cells to their measurements from a previous run's
-	// checkpoint journal (see LoadJournal); cells found here are restored
+	// checkpoint journal (see ResumeJournal); cells found here are restored
 	// verbatim and never re-executed.
 	Resume map[CellKey]Measurement
 	// Obs, when non-nil, receives the run's observability stream: per-phase

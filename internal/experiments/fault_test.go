@@ -242,25 +242,20 @@ func TestRunContextCancelled(t *testing.T) {
 // and a partially resumed run re-executes only the missing cells.
 func TestCheckpointResumeRoundTrip(t *testing.T) {
 	fig := tinyFigure([]Algorithm{AlgoTENDS, AlgoLIFT})
-	var buf bytes.Buffer
-	j, err := NewJournal(&buf, 27, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, path := newJournal(t, 27, 2)
 	full, _, err := RunContext(context.Background(), fig, Config{Seed: 27, Repeats: 2, Checkpoint: j}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	j.Close()
 
-	header, cells, warnings, err := LoadJournal(bytes.NewReader(buf.Bytes()), false)
+	cp, err := loadJournal(t, path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(warnings) != 0 {
-		t.Fatalf("clean journal produced warnings: %v", warnings)
-	}
-	if header.Seed != 27 || header.Repeats != 2 || header.Version != JournalVersion {
-		t.Fatalf("header round-trip: %+v", header)
+	cells := cp.Cells
+	if cp.Header.Seed != 27 || cp.Header.Repeats != 2 || cp.Header.Type != "header" {
+		t.Fatalf("header round-trip: %+v", cp.Header)
 	}
 	if len(cells) != len(full) {
 		t.Fatalf("journal has %d cells, want %d", len(cells), len(full))
@@ -331,21 +326,19 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 		}
 		return res, err
 	})
-	var buf bytes.Buffer
-	j, err := NewJournal(&buf, 28, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, path := newJournal(t, 28, 2)
 	_, _, err = RunContext(ctx, fig, Config{Seed: 28, Repeats: 2, Workers: 1, Checkpoint: j}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	j.Close()
 	algoHooks = nil // restore the real TENDS for the resumed run
 
-	_, cells, _, err := LoadJournal(bytes.NewReader(buf.Bytes()), false)
+	cp, err := loadJournal(t, path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := cp.Cells
 	if len(cells) != 1 {
 		t.Fatalf("interrupted run journaled %d cells, want exactly the 1 finished cell", len(cells))
 	}

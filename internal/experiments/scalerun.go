@@ -12,6 +12,7 @@ import (
 	"tends/internal/core"
 	"tends/internal/diffusion"
 	"tends/internal/graph"
+	"tends/internal/journal"
 	"tends/internal/lfr"
 	"tends/internal/metrics"
 	"tends/internal/obs"
@@ -46,9 +47,10 @@ type ScaleConfig struct {
 
 	// Journal, when non-nil, streams the shard's results incrementally: the
 	// header is written as soon as the threshold is selected (core's
-	// OnSearchStart hook) and each node's parents as soon as its search
-	// completes (OnNodeDone) — so a killed worker leaves a resumable partial
-	// journal instead of nothing. The journal passes through the chaos
+	// OnSearchStart hook) and each node's parents as its search is
+	// committed, in ascending node order (OnNodeDone) — so a killed worker
+	// leaves a resumable partial journal instead of nothing, and the
+	// journal's bytes do not depend on the worker count. The journal passes through the chaos
 	// SiteJournalStall/SiteShardSlow sites when an injector is attached.
 	Journal *ShardJournal
 
@@ -292,23 +294,24 @@ func RunShardWorker(ctx context.Context, cfg ScaleConfig, path string, resume bo
 				cfg.Obs.Counter("scale/resume/continued").Inc()
 			}
 			return RunScale(ctx, cfg)
-		case errors.Is(err, ErrJournalCorrupt) || errors.Is(err, os.ErrNotExist):
+		case errors.Is(err, journal.ErrCorrupt) || errors.Is(err, os.ErrNotExist):
 			// Unusable journal: fall through and start the shard fresh.
-			if cfg.Obs != nil && errors.Is(err, ErrJournalCorrupt) {
+			if cfg.Obs != nil && errors.Is(err, journal.ErrCorrupt) {
 				cfg.Obs.Counter("scale/resume/corrupt_restart").Inc()
 			}
 		default:
 			return nil, err
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	// An empty file marks a fresh attempt whose header is not written yet;
+	// the journal itself is created once the threshold is known.
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		return nil, err
 	}
-	cfg.Journal = OpenShardJournal(f)
+	cfg.Journal = NewShardJournal(path)
 	cfg.ResumeHeader, cfg.ResumeNodes = nil, nil
 	res, err := RunScale(ctx, cfg)
-	if cerr := f.Close(); err == nil && cerr != nil {
+	if cerr := cfg.Journal.Close(); err == nil && cerr != nil {
 		return nil, cerr
 	}
 	return res, err

@@ -105,11 +105,7 @@ func TestScenarioResumeIdentity(t *testing.T) {
 	fig := scenarioFigure()
 	cfg := Config{Seed: 11, Repeats: 2, Workers: 2}
 
-	var journal bytes.Buffer
-	j, err := NewJournal(&journal, cfg.Seed, cfg.Repeats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, path := newJournal(t, cfg.Seed, cfg.Repeats)
 	jcfg := cfg
 	jcfg.Checkpoint = j
 	full, err := Run(fig, jcfg, nil)
@@ -117,14 +113,13 @@ func TestScenarioResumeIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	fullCSV := scenarioCSV(t, full)
+	j.Close()
 
-	_, cells, warnings, err := LoadJournal(bytes.NewReader(journal.Bytes()), true)
+	cp, err := loadJournal(t, path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(warnings) != 0 {
-		t.Fatalf("clean journal produced warnings: %v", warnings)
-	}
+	cells := cp.Cells
 	// Drop one SIS cell and one dirty-stage cell so both a model family and
 	// the missing pipeline re-execute while everything else restores.
 	delete(cells, CellKey{Figure: fig.ID, PointIndex: 3, Algorithm: AlgoTENDS})

@@ -1,18 +1,15 @@
 package experiments
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"sort"
-	"strings"
+
+	"tends/internal/journal"
 )
 
-// ShardHeader is the first record of a shard journal — one shard's slice of
-// a sharded scale run (cmd/benchfig -shard i/k). It carries the full run
+// ShardHeader is the header of a shard journal — one shard's slice of a
+// sharded scale run (cmd/benchfig -shard i/k). It carries the full run
 // identity so a merge can refuse journals produced under different
 // configurations, plus the shard's selected pruning threshold: every shard
 // computes the global τ from the complete pairwise stage, so the merge
@@ -20,7 +17,6 @@ import (
 // parent sets compose into the unsharded topology.
 type ShardHeader struct {
 	Type       string  `json:"type"` // "shard_header"
-	Version    int     `json:"version"`
 	ShardIndex int     `json:"shard_index"`
 	ShardCount int     `json:"shard_count"`
 	N          int     `json:"n"`
@@ -46,219 +42,124 @@ type shardNode struct {
 	Parents []int  `json:"parents"`
 }
 
-// ShardJournal streams one shard's results as JSONL, reusing the checkpoint
-// journal's record writer (serialized, unbuffered appends).
+// ShardJournal streams one shard's results to a journal file (see package
+// journal), one node record per append, unsynced like checkpoint appends.
 type ShardJournal struct {
-	j *Journal
+	path string
+	log  *journal.Log
 }
 
-// OpenShardJournal wraps w as a shard journal without writing anything.
-// Callers that learn the threshold mid-run (the incremental journaling path:
-// core's OnSearchStart hook fires once τ is selected) open first and call
-// WriteHeader from the hook; callers continuing an existing journal never
-// write a header at all.
-func OpenShardJournal(w io.Writer) *ShardJournal {
-	return &ShardJournal{j: ResumeJournal(w)}
+// NewShardJournal prepares a shard journal at path without writing
+// anything: the file is created by WriteHeader. Callers that learn the
+// threshold mid-run (the incremental journaling path: core's OnSearchStart
+// hook fires once τ is selected) write the header from the hook.
+func NewShardJournal(path string) *ShardJournal {
+	return &ShardJournal{path: path}
 }
 
-// WriteHeader appends the journal's header record, stamping type/version.
+// WriteHeader creates the journal file with h as its header, replacing any
+// existing file.
 func (s *ShardJournal) WriteHeader(h ShardHeader) error {
 	h.Type = "shard_header"
-	h.Version = JournalVersion
-	if err := s.j.writeRecord(h); err != nil {
+	b, err := json.Marshal(h)
+	if err != nil {
+		return err
+	}
+	if s.log, err = journal.Create(s.path, b); err != nil {
 		return fmt.Errorf("write shard header: %w", err)
 	}
 	return nil
 }
 
-// NewShardJournal starts a shard journal on w by writing its header.
-func NewShardJournal(w io.Writer, h ShardHeader) (*ShardJournal, error) {
-	s := OpenShardJournal(w)
-	if err := s.WriteHeader(h); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // AppendNode records one node's parent set.
 func (s *ShardJournal) AppendNode(node int, parents []int) error {
+	if s.log == nil {
+		return errors.New("shard journal: node record before header")
+	}
 	if parents == nil {
 		parents = []int{}
 	}
-	return s.j.writeRecord(shardNode{Type: "node", Node: node, Parents: parents})
+	b, err := json.Marshal(shardNode{Type: "node", Node: node, Parents: parents})
+	if err != nil {
+		return err
+	}
+	return s.log.Append(b)
 }
 
-// tornTailPrefix marks the warning a lenient load attaches to an
-// unparseable final line — the signature of a journal cut off mid-append by
-// a kill. Resume tooling (ShardResumeOffset) treats exactly this case as
-// recoverable: truncate at the warning's offset and continue appending.
-const tornTailPrefix = "torn tail"
-
-// LoadShardJournal parses one shard journal. Shard journals feed a topology
-// merge, so damage matters more than in checkpoint journals — but the
-// supervisor must still resume a journal whose writer was killed mid-append.
-// The lenient mode (strict=false) therefore skips damaged lines, reporting
-// each with its exact line and byte position; an unparseable final line is
-// classified "torn tail" (see ShardResumeOffset), anything else is genuine
-// corruption the caller should refuse to resume from. In strict mode the
-// first damaged line is a hard error wrapping ErrJournalCorrupt. Both modes
-// hard-error on an unreadable stream, a missing header, and an incompatible
-// header version or shard identity — those make every record untrustworthy.
-func LoadShardJournal(r io.Reader, strict bool) (*ShardHeader, map[int][]int, []JournalWarning, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxJournalLine)
-	var header *ShardHeader
-	nodes := make(map[int][]int)
-	var warnings []JournalWarning
-	lineNo := 0
-	var offset, lineStart int64
-	// parseFail marks warnings caused by an unparseable line; only those can
-	// be a torn tail (a line that parses but carries bad values was written
-	// whole — that is corruption, not a cut-off append).
-	var parseFail []bool
-	skip := func(unparseable bool, format string, a ...any) error {
-		w := JournalWarning{Line: lineNo, Offset: lineStart, Reason: fmt.Sprintf(format, a...)}
-		if strict {
-			return fmt.Errorf("%w: shard journal line %d (byte %d): %s", ErrJournalCorrupt, w.Line, w.Offset, w.Reason)
-		}
-		warnings = append(warnings, w)
-		parseFail = append(parseFail, unparseable)
+// Close closes the journal file, if one was created.
+func (s *ShardJournal) Close() error {
+	if s.log == nil {
 		return nil
 	}
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		lineStart = offset
-		offset += int64(len(line)) + 1
-		if len(line) == 0 {
-			continue
-		}
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			if err := skip(true, "skipping corrupt record: %v", err); err != nil {
-				return header, nodes, warnings, err
-			}
-			continue
-		}
-		switch probe.Type {
-		case "shard_header":
-			var h ShardHeader
-			if err := json.Unmarshal(line, &h); err != nil {
-				if err := skip(true, "skipping corrupt header: %v", err); err != nil {
-					return header, nodes, warnings, err
-				}
-				continue
-			}
-			if header != nil {
-				if err := skip(false, "ignoring duplicate header"); err != nil {
-					return header, nodes, warnings, err
-				}
-				continue
-			}
-			if h.Version != JournalVersion {
-				return nil, nil, warnings, fmt.Errorf("shard journal version %d, want %d", h.Version, JournalVersion)
-			}
-			if h.ShardCount < 1 || h.ShardIndex < 0 || h.ShardIndex >= h.ShardCount ||
-				h.N < 1 {
-				return nil, nil, warnings, fmt.Errorf("shard journal: invalid shard identity %d/%d (n=%d)", h.ShardIndex, h.ShardCount, h.N)
-			}
-			header = &h
-		case "node":
-			if header == nil {
-				if err := skip(false, "skipping node record before header"); err != nil {
-					return header, nodes, warnings, err
-				}
-				continue
-			}
-			var rec shardNode
-			if err := json.Unmarshal(line, &rec); err != nil {
-				if err := skip(true, "skipping corrupt node record: %v", err); err != nil {
-					return header, nodes, warnings, err
-				}
-				continue
-			}
-			if rec.Node < 0 || rec.Node >= header.N {
-				if err := skip(false, "node %d out of range [0,%d)", rec.Node, header.N); err != nil {
-					return header, nodes, warnings, err
-				}
-				continue
-			}
-			if rec.Node%header.ShardCount != header.ShardIndex {
-				if err := skip(false, "node %d does not belong to shard %d/%d",
-					rec.Node, header.ShardIndex, header.ShardCount); err != nil {
-					return header, nodes, warnings, err
-				}
-				continue
-			}
-			if rec.Parents == nil {
-				rec.Parents = []int{}
-			}
-			nodes[rec.Node] = rec.Parents
-		default:
-			if err := skip(false, "skipping unknown record type %q", probe.Type); err != nil {
-				return header, nodes, warnings, err
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return header, nodes, warnings, fmt.Errorf("read shard journal: %w", err)
-	}
-	// An unparseable final line is the expected tail of a killed writer;
-	// relabel it so resume tooling can tell it apart from mid-file damage.
-	if n := len(warnings); n > 0 && parseFail[n-1] && warnings[n-1].Line == lineNo {
-		warnings[n-1].Reason = tornTailPrefix + ": " + warnings[n-1].Reason
-	}
-	if header == nil {
-		return nil, nodes, warnings, errors.New("shard journal has no header record")
-	}
-	return header, nodes, warnings, nil
+	return s.log.Close()
 }
 
-// ShardResumeOffset reports whether a lenient load's warnings describe only
-// a torn tail — a single unparseable final line — and if so the byte offset
-// at which truncating the file leaves a clean journal to append to. Any
-// other warning set means mid-file damage: records were lost in a way a
-// resume cannot make whole, so the shard must restart from scratch.
-func ShardResumeOffset(warnings []JournalWarning) (int64, bool) {
-	if len(warnings) == 1 && strings.HasPrefix(warnings[0].Reason, tornTailPrefix) {
-		return warnings[0].Offset, true
+// LoadShardJournal reads one shard journal without modifying it. Reading
+// stops at the first damaged frame, whose position the returned Damage
+// reports (nil for a clean journal); the nodes before it are returned. In
+// strict mode any damage is instead an error wrapping journal.ErrCorrupt.
+// Both modes refuse a damaged or invalid header and a record that passes
+// its checksum yet is not a node of this shard — a whole record with bad
+// values was written wrong, so no record can be trusted.
+func LoadShardJournal(path string, strict bool) (*ShardHeader, map[int][]int, *journal.Damage, error) {
+	c, err := journal.Read(path)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return 0, false
+	if strict && c.Damage != nil {
+		return nil, nil, c.Damage, fmt.Errorf("%w: %s: %w", journal.ErrCorrupt, path, c.Damage)
+	}
+	h, nodes, err := decodeShard(c)
+	if err != nil {
+		return nil, nil, c.Damage, fmt.Errorf("%s: %w", path, err)
+	}
+	return h, nodes, c.Damage, nil
 }
 
-// ReadShardHeader reads only the journal's header record — the first
-// non-empty line — without parsing node records, for cheap up-front
-// validation of a shard set (which indices are present, do identities
-// match) before the expensive full loads.
-func ReadShardHeader(r io.Reader) (*ShardHeader, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxJournalLine)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var h ShardHeader
-		if err := json.Unmarshal(line, &h); err != nil {
-			return nil, fmt.Errorf("shard journal header: %w", err)
-		}
-		if h.Type != "shard_header" {
-			return nil, fmt.Errorf("shard journal starts with %q record, want shard_header", h.Type)
-		}
-		if h.Version != JournalVersion {
-			return nil, fmt.Errorf("shard journal version %d, want %d", h.Version, JournalVersion)
-		}
-		if h.ShardCount < 1 || h.ShardIndex < 0 || h.ShardIndex >= h.ShardCount || h.N < 1 {
-			return nil, fmt.Errorf("shard journal: invalid shard identity %d/%d (n=%d)", h.ShardIndex, h.ShardCount, h.N)
-		}
-		return &h, nil
+// ReadShardHeader reads only the journal's header, without parsing node
+// records, for cheap up-front validation of a shard set (which indices are
+// present, do identities match) before the expensive full loads.
+func ReadShardHeader(path string) (*ShardHeader, error) {
+	b, err := journal.ReadHeader(path)
+	if err != nil {
+		return nil, err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("read shard journal: %w", err)
+	return decodeShardHeader(b)
+}
+
+func decodeShardHeader(b []byte) (*ShardHeader, error) {
+	var h ShardHeader
+	if err := json.Unmarshal(b, &h); err != nil || h.Type != "shard_header" {
+		return nil, fmt.Errorf("%w: not a shard journal header", journal.ErrCorrupt)
 	}
-	return nil, errors.New("shard journal has no header record")
+	if h.ShardCount < 1 || h.ShardIndex < 0 || h.ShardIndex >= h.ShardCount || h.N < 1 {
+		return nil, fmt.Errorf("%w: shard journal: invalid shard identity %d/%d (n=%d)", journal.ErrCorrupt, h.ShardIndex, h.ShardCount, h.N)
+	}
+	return &h, nil
+}
+
+// decodeShard parses a shard journal's header and node records.
+func decodeShard(c journal.Contents) (*ShardHeader, map[int][]int, error) {
+	h, err := decodeShardHeader(c.Header)
+	if err != nil {
+		return nil, nil, err
+	}
+	nodes := make(map[int][]int, len(c.Records))
+	for i, payload := range c.Records {
+		var rec shardNode
+		if err := json.Unmarshal(payload, &rec); err != nil || rec.Type != "node" {
+			return nil, nil, fmt.Errorf("%w: shard journal record %d is not a node record", journal.ErrCorrupt, i)
+		}
+		if rec.Node < 0 || rec.Node >= h.N || rec.Node%h.ShardCount != h.ShardIndex {
+			return nil, nil, fmt.Errorf("%w: shard journal record %d: node %d does not belong to shard %d/%d (n=%d)",
+				journal.ErrCorrupt, i, rec.Node, h.ShardIndex, h.ShardCount, h.N)
+		}
+		if rec.Parents == nil {
+			rec.Parents = []int{}
+		}
+		nodes[rec.Node] = rec.Parents
+	}
+	return h, nodes, nil
 }
 
 // ResumedShard is a partial shard journal reopened for node-level
@@ -272,112 +173,58 @@ type ResumedShard struct {
 	TruncatedBytes int64
 
 	Journal *ShardJournal
-	f       *os.File
 }
 
 // Close closes the underlying journal file.
-func (r *ResumedShard) Close() error { return r.f.Close() }
+func (r *ResumedShard) Close() error { return r.Journal.Close() }
 
 // OpenShardResume reopens a partial shard journal for continuation. A torn
-// final line — the normal tail of a worker killed mid-append — is truncated
-// away so the continuation starts on a record boundary; any other damage
-// (mid-file corruption, a missing header) is an error wrapping
-// ErrJournalCorrupt, and the caller should restart the shard from scratch.
+// tail — the normal state of a worker killed mid-append — is truncated
+// away so the continuation starts on a frame boundary. Mid-file damage, a
+// damaged header or an invalid record is an error wrapping
+// journal.ErrCorrupt, and the caller should restart the shard from scratch.
 func OpenShardResume(path string) (*ResumedShard, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	log, c, err := journal.Open(path, false)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("resume: %w", err)
 	}
-	header, nodes, warnings, err := LoadShardJournal(f, false)
+	h, nodes, err := decodeShard(c)
+	if err == nil && c.Damage != nil && !c.Damage.Torn {
+		err = fmt.Errorf("%w: %w", journal.ErrCorrupt, c.Damage)
+	}
 	if err != nil {
-		f.Close()
-		if header == nil {
-			return nil, fmt.Errorf("%w: resume %s: %v", ErrJournalCorrupt, path, err)
-		}
+		log.Close()
 		return nil, fmt.Errorf("resume %s: %w", path, err)
 	}
-	if header == nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: resume %s: journal has no header record", ErrJournalCorrupt, path)
+	rs := &ResumedShard{Header: h, Nodes: nodes, Journal: &ShardJournal{path: path, log: log}}
+	if c.Damage != nil {
+		rs.TruncatedBytes = c.Size - c.Damage.Offset
 	}
-	var cut int64
-	if len(warnings) > 0 {
-		off, torn := ShardResumeOffset(warnings)
-		if !torn {
-			f.Close()
-			return nil, fmt.Errorf("%w: resume %s: %s", ErrJournalCorrupt, path, warnings[0])
-		}
-		end, serr := f.Seek(0, io.SeekEnd)
-		if serr != nil {
-			f.Close()
-			return nil, serr
-		}
-		if err := f.Truncate(off); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("resume %s: truncate torn tail: %w", path, err)
-		}
-		cut = end - off
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &ResumedShard{
-		Header:         header,
-		Nodes:          nodes,
-		TruncatedBytes: cut,
-		Journal:        OpenShardJournal(f),
-		f:              f,
-	}, nil
+	return rs, nil
 }
 
 // MergeShardJournals validates a set of parsed shard journals and composes
-// them into the full parent-set array. It requires: identical run identity
-// across headers (N, Beta, Seed, Sparse, ShardCount), bit-identical
-// thresholds (each shard computes the global τ independently — disagreement
-// means the shards did not run the same pairwise stage), exactly the shard
-// indices {0..k-1} with no duplicates, and a parent set for every node.
+// them into the full parent-set array: the degraded merge's checks (run
+// identity, bit-identical thresholds) plus exactly the shard indices
+// {0..k-1} with no duplicates and a parent set for every node.
 func MergeShardJournals(headers []*ShardHeader, nodes []map[int][]int) ([][]int, *ShardHeader, error) {
-	if len(headers) == 0 {
-		return nil, nil, errors.New("merge: no shard journals")
+	parents, ref, rep, err := MergeShardJournalsDegraded(headers, nodes)
+	if err != nil {
+		return nil, nil, err
 	}
-	if len(headers) != len(nodes) {
-		return nil, nil, fmt.Errorf("merge: %d headers but %d node sets", len(headers), len(nodes))
-	}
-	ref := headers[0]
 	seen := make(map[int]bool, len(headers))
 	for _, h := range headers {
-		if !h.SameRun(*ref) {
-			return nil, nil, fmt.Errorf("merge: shard %d/%d ran a different configuration than shard %d/%d",
-				h.ShardIndex, h.ShardCount, ref.ShardIndex, ref.ShardCount)
-		}
-		if h.Threshold != ref.Threshold {
-			return nil, nil, fmt.Errorf("merge: shard %d selected threshold %v, shard %d selected %v — pairwise stages disagree",
-				h.ShardIndex, h.Threshold, ref.ShardIndex, ref.Threshold)
-		}
 		if seen[h.ShardIndex] {
 			return nil, nil, fmt.Errorf("merge: duplicate shard index %d", h.ShardIndex)
 		}
 		seen[h.ShardIndex] = true
 	}
-	if len(headers) != ref.ShardCount {
-		missing := make([]int, 0, ref.ShardCount)
-		for i := 0; i < ref.ShardCount; i++ {
-			if !seen[i] {
-				missing = append(missing, i)
-			}
-		}
-		sort.Ints(missing)
-		return nil, nil, fmt.Errorf("merge: have %d of %d shards, missing indices %v", len(headers), ref.ShardCount, missing)
+	if len(rep.MissingShards) > 0 {
+		return nil, nil, fmt.Errorf("merge: have %d of %d shards, missing indices %v", len(headers), ref.ShardCount, rep.MissingShards)
 	}
-	parents := make([][]int, ref.N)
 	for si, h := range headers {
-		for node, ps := range nodes[si] {
-			parents[node] = ps
-		}
 		// Each shard owns ceil/floor of N/k nodes; verify it reported all.
-		owned := ShardOwnedNodes(ref.N, h.ShardIndex, ref.ShardCount)
-		if len(nodes[si]) != owned {
+		if owned := ShardOwnedNodes(ref.N, h.ShardIndex, ref.ShardCount); len(nodes[si]) != owned {
 			return nil, nil, fmt.Errorf("merge: shard %d reported %d nodes, owns %d — journal truncated?",
 				h.ShardIndex, len(nodes[si]), owned)
 		}

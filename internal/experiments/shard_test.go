@@ -1,11 +1,36 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
+	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"tends/internal/journal"
 )
+
+// writeShard journals one shard run's results to a fresh file and returns
+// its path.
+func writeShard(t *testing.T, scfg ScaleConfig, res *ScaleResult) string {
+	t.Helper()
+	hdr, err := ShardHeaderFor(scfg, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "shard.journal")
+	j := NewShardJournal(path)
+	if err := j.WriteHeader(hdr); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteShardJournal(j, scfg, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
 // runShardedScale runs a k-way sharded scale run entirely through the
 // journal round-trip: each shard infers, journals, and the journals are
@@ -21,24 +46,12 @@ func runShardedScale(t *testing.T, cfg ScaleConfig, k int) *MergedScaleResult {
 		if err != nil {
 			t.Fatalf("shard %d/%d: %v", shard, k, err)
 		}
-		var buf bytes.Buffer
-		hdr, err := ShardHeaderFor(scfg, res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := NewShardJournal(&buf, hdr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteShardJournal(j, scfg, res); err != nil {
-			t.Fatal(err)
-		}
-		h, nodes, warnings, err := LoadShardJournal(&buf, true)
+		h, nodes, damage, err := LoadShardJournal(writeShard(t, scfg, res), true)
 		if err != nil {
 			t.Fatalf("load shard %d/%d: %v", shard, k, err)
 		}
-		if len(warnings) != 0 {
-			t.Fatalf("load shard %d/%d: unexpected warnings %v", shard, k, warnings)
+		if damage != nil {
+			t.Fatalf("load shard %d/%d: unexpected damage %v", shard, k, damage)
 		}
 		headers = append(headers, h)
 		nodeSets = append(nodeSets, nodes)
@@ -136,16 +149,7 @@ func TestShardJournalValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		hdr, _ := ShardHeaderFor(scfg, res)
-		j, err := NewShardJournal(&buf, hdr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteShardJournal(j, scfg, res); err != nil {
-			t.Fatal(err)
-		}
-		h, nodes, _, err := LoadShardJournal(&buf, true)
+		h, nodes, _, err := LoadShardJournal(writeShard(t, scfg, res), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,16 +191,22 @@ func TestShardJournalValidation(t *testing.T) {
 		t.Fatalf("valid merge failed: %v", err)
 	}
 
-	// Wrong-shard node records are rejected at load time.
-	var buf bytes.Buffer
-	j, err := NewShardJournal(&buf, ShardHeader{ShardIndex: 0, ShardCount: 2, N: 20, Beta: 16, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendNode(1, nil); err != nil { // node 1 belongs to shard 1
-		t.Fatal(err)
-	}
-	if _, _, _, err := LoadShardJournal(&buf, true); err == nil || !strings.Contains(err.Error(), "does not belong") {
-		t.Fatalf("foreign node record not detected: %v", err)
+	// Wrong-shard and out-of-range node records are rejected at load time,
+	// in either mode: they were written whole, so they are not a torn tail.
+	for _, node := range []int{1, 20} { // node 1 belongs to shard 1; n = 20
+		path := filepath.Join(t.TempDir(), "foreign.journal")
+		j := NewShardJournal(path)
+		if err := j.WriteHeader(ShardHeader{ShardIndex: 0, ShardCount: 2, N: 20, Beta: 16, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.AppendNode(node, nil); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		for _, strict := range []bool{false, true} {
+			if _, _, _, err := LoadShardJournal(path, strict); !errors.Is(err, journal.ErrCorrupt) || !strings.Contains(err.Error(), "does not belong") {
+				t.Fatalf("node %d strict=%v: foreign node record not detected: %v", node, strict, err)
+			}
+		}
 	}
 }

@@ -2,40 +2,94 @@ package experiments
 
 import (
 	"bytes"
-	"strings"
+	"errors"
+	"maps"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
+
+	"tends/internal/journal"
 )
 
-// FuzzLoadShardJournal feeds arbitrary bytes to the shard-journal parser:
-// malformed journals must come back as errors or positioned skip-warnings,
-// never a panic — and the torn-tail classification must stay coherent with
-// the resume contract (exactly one unparseable final line, truncation offset
-// inside the input).
-func FuzzLoadShardJournal(f *testing.F) {
-	f.Add([]byte(`{"type":"shard_header","version":1,"shard_index":0,"shard_count":2,"n":10,"beta":8,"seed":3}` + "\n" +
-		`{"type":"node","node":0,"parents":[2,4]}` + "\n" +
-		`{"type":"node","node":2,"parents":[]}` + "\n"))
-	f.Add([]byte(`{"type":"shard_header","version":1,"shard_index":0,"shard_count":1,"n":4}` + "\n" + `{"type":"node","no`))
-	f.Add([]byte(`{"type":"node","node":1,"parents":[]}`))
-	f.Add([]byte("\n\nnot json\n"))
-	f.Add([]byte(`{"type":"shard_header","version":9,"shard_index":0,"shard_count":1,"n":4}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		header, nodes, warnings, err := LoadShardJournal(bytes.NewReader(data), false)
-		_, _, _, strictErr := LoadShardJournal(bytes.NewReader(data), true)
-		for _, w := range warnings {
-			if w.Line < 1 || w.Offset < 0 || w.Offset > int64(len(data)) {
-				t.Fatalf("warning position out of range: %+v (input %d bytes)", w, len(data))
-			}
+// recordFrames returns the journal frames for payloads, exactly as they
+// follow the header in a file: seed material for the journal fuzzers.
+func recordFrames(tb testing.TB, payloads ...string) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "frames.journal")
+	log, err := journal.Create(path, []byte("h"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	start := log.Size()
+	for _, p := range payloads {
+		if err := log.Append([]byte(p)); err != nil {
+			tb.Fatal(err)
 		}
-		if off, torn := ShardResumeOffset(warnings); torn {
-			if off < 0 || off > int64(len(data)) {
-				t.Fatalf("torn-tail offset %d outside input of %d bytes", off, len(data))
-			}
-			if !strings.HasPrefix(warnings[0].Reason, "torn tail") {
-				t.Fatalf("resume offset from non-torn warning: %+v", warnings[0])
-			}
+	}
+	log.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data[start:]
+}
+
+// withTail writes a file of head followed by tail and returns its path.
+func withTail(t *testing.T, head, tail []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "fuzz.journal")
+	if err := os.WriteFile(path, append(append([]byte(nil), head...), tail...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// FuzzLoadShardJournal appends arbitrary bytes to a valid shard-journal
+// header and loads the result. Nothing may panic; every refusal wraps
+// journal.ErrCorrupt; surviving nodes are in range and owned by the shard;
+// the damage offset lies inside the record region; strict and lenient loads
+// agree on the damage; and the resume path agrees with the load about which
+// damage is recoverable, healing a torn tail into a journal that loads
+// strictly with the same nodes.
+func FuzzLoadShardJournal(f *testing.F) {
+	f.Add(recordFrames(f, `{"type":"node","node":0,"parents":[2,4]}`, `{"type":"node","node":2,"parents":[]}`))
+	torn := recordFrames(f, `{"type":"node","node":0,"parents":[2]}`, `{"type":"node","node":4,"parents":[0]}`)
+	f.Add(torn[:len(torn)-3])
+	f.Add(recordFrames(f, `{"type":"node","node":1,"parents":[]}`))
+	f.Add(recordFrames(f, "not json"))
+	f.Add(make([]byte, 12))
+
+	hdrPath := filepath.Join(f.TempDir(), "header.journal")
+	sj := NewShardJournal(hdrPath)
+	if err := sj.WriteHeader(ShardHeader{ShardIndex: 0, ShardCount: 2, N: 10, Beta: 8, Seed: 3}); err != nil {
+		f.Fatal(err)
+	}
+	sj.Close()
+	head, err := os.ReadFile(hdrPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		path := withTail(t, head, tail)
+		size := int64(len(head) + len(tail))
+		header, nodes, damage, err := LoadShardJournal(path, false)
+		_, _, _, strictErr := LoadShardJournal(path, true)
+		if got, _ := os.ReadFile(path); !bytes.Equal(got[len(head):], tail) {
+			t.Fatal("load modified the journal")
+		}
+		if d := damage; d != nil && (d.Offset < int64(len(head)) || d.Offset >= size) {
+			t.Fatalf("damage %+v outside the %d-byte record region", d, len(tail))
+		}
+		rs, resumeErr := OpenShardResume(path)
+		if rs != nil {
+			defer rs.Close()
 		}
 		if err != nil {
+			if !errors.Is(err, journal.ErrCorrupt) || !errors.Is(strictErr, journal.ErrCorrupt) || !errors.Is(resumeErr, journal.ErrCorrupt) {
+				t.Fatalf("refusal does not wrap ErrCorrupt in every mode: lenient %v, strict %v, resume %v", err, strictErr, resumeErr)
+			}
 			return
 		}
 		if header == nil {
@@ -52,13 +106,35 @@ func FuzzLoadShardJournal(f *testing.F) {
 				t.Fatalf("node %d has nil parents", node)
 			}
 		}
-		// Policy consistency with the checkpoint loader: warning-free lenient
-		// loads must pass strict, and any warning must fail it.
-		if len(warnings) == 0 && strictErr != nil {
-			t.Fatalf("warning-free journal fails strict load: %v", strictErr)
+		// Policy consistency: a damage-free lenient load must pass strict,
+		// and any damage must fail it.
+		if (strictErr != nil) != (damage != nil) {
+			t.Fatalf("strict err %v disagrees with lenient damage %+v", strictErr, damage)
 		}
-		if len(warnings) > 0 && strictErr == nil {
-			t.Fatalf("journal with %d warnings passes strict load", len(warnings))
+		// Resume recovers exactly a torn tail; mid-file damage restarts the
+		// shard.
+		if damage != nil && !damage.Torn {
+			if !errors.Is(resumeErr, journal.ErrCorrupt) {
+				t.Fatalf("resume accepted mid-file damage %+v: %v", damage, resumeErr)
+			}
+			return
+		}
+		if resumeErr != nil {
+			t.Fatalf("resume refused a recoverable journal (damage %+v): %v", damage, resumeErr)
+		}
+		wantCut := int64(0)
+		if damage != nil {
+			wantCut = size - damage.Offset
+		}
+		if rs.TruncatedBytes != wantCut {
+			t.Fatalf("resume cut %d bytes, want %d", rs.TruncatedBytes, wantCut)
+		}
+		_, healed, _, err := LoadShardJournal(path, true)
+		if err != nil {
+			t.Fatalf("resumed journal fails a strict load: %v", err)
+		}
+		if !maps.EqualFunc(healed, nodes, slices.Equal) || !maps.EqualFunc(rs.Nodes, nodes, slices.Equal) {
+			t.Fatalf("resume kept %d nodes and healed file holds %d, load saw %d", len(rs.Nodes), len(healed), len(nodes))
 		}
 	})
 }

@@ -3,15 +3,20 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tends/internal/journal"
 )
 
-// journalBytes runs one shard and returns its complete journal bytes.
-func journalBytes(t *testing.T, cfg ScaleConfig, shard, k int) []byte {
+// shardJournal runs one shard and writes its complete journal, returning
+// the path and the file bytes.
+func shardJournal(t *testing.T, cfg ScaleConfig, shard, k int) (string, []byte) {
 	t.Helper()
 	scfg := cfg
 	scfg.ShardIndex, scfg.ShardCount = shard, k
@@ -19,63 +24,71 @@ func journalBytes(t *testing.T, cfg ScaleConfig, shard, k int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	hdr, err := ShardHeaderFor(scfg, res)
+	path := writeShard(t, scfg, res)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := NewShardJournal(&buf, hdr)
-	if err != nil {
-		t.Fatal(err)
+	return path, data
+}
+
+// recordOffsets returns the byte offset of every record frame in a clean
+// journal, plus the end offset last, by walking its length prefixes.
+func recordOffsets(t *testing.T, data []byte) []int {
+	t.Helper()
+	const prefix = 12 // magic + version
+	off := prefix + 8 + int(binary.LittleEndian.Uint32(data[prefix:]))
+	var offs []int
+	for off < len(data) {
+		offs = append(offs, off)
+		off += 8 + int(binary.LittleEndian.Uint32(data[off:]))
 	}
-	if err := WriteShardJournal(j, scfg, res); err != nil {
-		t.Fatal(err)
+	if off != len(data) {
+		t.Fatalf("journal frames end at %d of %d bytes", off, len(data))
 	}
-	return buf.Bytes()
+	return append(offs, off)
 }
 
 // TestLoadShardJournalTornTail checks the torn-tail/corruption distinction:
-// an unparseable final line is recoverable (ShardResumeOffset reports where
-// to truncate), mid-file damage is not, and strict mode hard-errors with the
-// exact line and byte position either way.
+// a partial final frame is a torn tail at its exact offset, the same damage
+// followed by more frames is mid-file corruption, and strict mode refuses
+// either with journal.ErrCorrupt and the byte position.
 func TestLoadShardJournalTornTail(t *testing.T) {
 	cfg := ScaleConfig{N: 20, Beta: 16, Seeds: 2, Seed: 3}
-	full := journalBytes(t, cfg, 0, 2)
+	_, full := shardJournal(t, cfg, 0, 2)
+	offs := recordOffsets(t, full)
+	cut := offs[len(offs)-2] // start of the last node record
 
-	// A kill mid-append leaves a partial final line.
-	cut := bytes.LastIndexByte(full[:len(full)-1], '\n') + 1
-	torn := append(append([]byte(nil), full...)[:cut], []byte(`{"type":"node","no`)...)
-
-	h, nodes, warnings, err := LoadShardJournal(bytes.NewReader(torn), false)
+	// A kill mid-append leaves a partial final frame.
+	dir := t.TempDir()
+	torn := filepath.Join(dir, "torn.journal")
+	os.WriteFile(torn, full[:cut+5], 0o644)
+	h, nodes, damage, err := LoadShardJournal(torn, false)
 	if err != nil || h == nil {
 		t.Fatalf("lenient load of torn journal failed: %v", err)
 	}
-	if len(warnings) != 1 || !strings.HasPrefix(warnings[0].Reason, "torn tail") {
-		t.Fatalf("torn tail not classified: %v", warnings)
-	}
-	off, ok := ShardResumeOffset(warnings)
-	if !ok || off != int64(cut) {
-		t.Fatalf("ShardResumeOffset = (%d, %v), want (%d, true)", off, ok, cut)
+	if damage == nil || !damage.Torn || damage.Offset != int64(cut) {
+		t.Fatalf("torn tail not classified: %v, want torn at %d", damage, cut)
 	}
 	if len(nodes) != ShardOwnedNodes(cfg.N, 0, 2)-1 {
 		t.Fatalf("torn journal kept %d nodes, want %d", len(nodes), ShardOwnedNodes(cfg.N, 0, 2)-1)
 	}
-
-	// The same damage mid-file (records after it) is corruption, not a tail.
-	mid := append(append([]byte(nil), torn...), '\n')
-	mid = append(mid, full[cut:]...)
-	_, _, warnings, err = LoadShardJournal(bytes.NewReader(mid), false)
-	if err != nil {
-		t.Fatalf("lenient load of mid-file damage: %v", err)
-	}
-	if _, ok := ShardResumeOffset(warnings); ok {
-		t.Fatalf("mid-file damage misclassified as torn tail: %v", warnings)
+	if got, _ := os.ReadFile(torn); len(got) != cut+5 {
+		t.Fatal("LoadShardJournal modified the file")
 	}
 
-	// Strict mode refuses the damaged line with its position.
-	_, _, _, err = LoadShardJournal(bytes.NewReader(torn), true)
-	if !errors.Is(err, ErrJournalCorrupt) || !strings.Contains(err.Error(), "byte") {
-		t.Fatalf("strict load error = %v, want ErrJournalCorrupt with byte offset", err)
+	// The same damage mid-file (frames after it) is corruption, not a tail.
+	mid := filepath.Join(dir, "mid.journal")
+	bad := append(append([]byte(nil), full[:cut]...), 0xff, 0, 0, 0, 0, 0, 0, 0, 0)
+	os.WriteFile(mid, append(bad, full[offs[1]:]...), 0o644)
+	if _, _, damage, err = LoadShardJournal(mid, false); err != nil || damage == nil || damage.Torn || damage.Offset != int64(cut) {
+		t.Fatalf("mid-file damage: %v (err %v), want corruption at %d", damage, err, cut)
+	}
+
+	// Strict mode refuses the damaged frame with its position.
+	_, _, _, err = LoadShardJournal(torn, true)
+	if !errors.Is(err, journal.ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("byte %d", cut)) {
+		t.Fatalf("strict load error = %v, want ErrCorrupt at byte %d", err, cut)
 	}
 }
 
@@ -83,22 +96,42 @@ func TestLoadShardJournalTornTail(t *testing.T) {
 // shard-set validation.
 func TestReadShardHeader(t *testing.T) {
 	cfg := ScaleConfig{N: 20, Beta: 16, Seeds: 2, Seed: 3}
-	full := journalBytes(t, cfg, 1, 2)
-	h, err := ReadShardHeader(bytes.NewReader(full))
+	path, _ := shardJournal(t, cfg, 1, 2)
+	h, err := ReadShardHeader(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.ShardIndex != 1 || h.ShardCount != 2 || h.N != 20 {
 		t.Fatalf("header = %+v", h)
 	}
-	if _, err := ReadShardHeader(strings.NewReader("")); err == nil {
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.journal")
+	os.WriteFile(empty, nil, 0o644)
+	if _, err := ReadShardHeader(empty); err == nil {
 		t.Fatal("empty journal accepted")
 	}
-	if _, err := ReadShardHeader(strings.NewReader(`{"type":"node","node":1}`)); err == nil || !strings.Contains(err.Error(), "shard_header") {
-		t.Fatalf("node-first journal accepted: %v", err)
+	ckpt := filepath.Join(dir, "ckpt.journal")
+	j, err := CreateJournal(ckpt, 1, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadShardHeader(strings.NewReader(`{"type":"shard_header","version":999,"shard_index":0,"shard_count":1,"n":5}`)); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("version mismatch accepted: %v", err)
+	j.Close()
+	if _, err := ReadShardHeader(ckpt); err == nil || !strings.Contains(err.Error(), "shard journal header") {
+		t.Fatalf("checkpoint journal accepted as a shard journal: %v", err)
+	}
+	old := filepath.Join(dir, "old.jsonl")
+	os.WriteFile(old, []byte(`{"type":"shard_header","version":1,"shard_index":0,"shard_count":1,"n":5}`+"\n"), 0o644)
+	if _, err := ReadShardHeader(old); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("old-format journal accepted: %v", err)
+	}
+	invalid := filepath.Join(dir, "invalid.journal")
+	sj := NewShardJournal(invalid)
+	if err := sj.WriteHeader(ShardHeader{ShardIndex: 2, ShardCount: 2, N: 5}); err != nil {
+		t.Fatal(err)
+	}
+	sj.Close()
+	if _, err := ReadShardHeader(invalid); err == nil || !strings.Contains(err.Error(), "invalid shard identity") {
+		t.Fatalf("invalid shard identity accepted: %v", err)
 	}
 }
 
@@ -107,19 +140,18 @@ func TestReadShardHeader(t *testing.T) {
 // an uninterrupted run.
 func TestOpenShardResume(t *testing.T) {
 	cfg := ScaleConfig{N: 20, Beta: 16, Seeds: 2, Seed: 3}
-	full := journalBytes(t, cfg, 0, 2)
-	lines := bytes.Split(bytes.TrimSuffix(full, []byte("\n")), []byte("\n"))
-	if len(lines) < 4 {
-		t.Fatalf("journal too short to cut: %d lines", len(lines))
+	fullPath, full := shardJournal(t, cfg, 0, 2)
+	offs := recordOffsets(t, full)
+	if len(offs) < 4 {
+		t.Fatalf("journal too short to cut: %d records", len(offs)-1)
 	}
 
 	// Keep the header and all but the last two nodes, then a torn fragment.
-	keep := bytes.Join(lines[:len(lines)-2], []byte("\n"))
-	keep = append(keep, '\n')
-	partial := append(append([]byte(nil), keep...), []byte(`{"type":"nod`)...)
+	keep := full[:offs[len(offs)-3]]
+	partial := append(append([]byte(nil), keep...), 30, 0, 0, 0, 7, 7)
 
 	dir := t.TempDir()
-	path := filepath.Join(dir, "shard-0.jsonl")
+	path := filepath.Join(dir, "shard-0.journal")
 	if err := os.WriteFile(path, partial, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +164,7 @@ func TestOpenShardResume(t *testing.T) {
 	}
 	// Append the two missing node records by replaying the full journal's
 	// records for nodes the partial set lacks.
-	_, allNodes, _, err := LoadShardJournal(bytes.NewReader(full), true)
+	_, allNodes, _, err := LoadShardJournal(fullPath, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,16 +198,23 @@ func TestOpenShardResume(t *testing.T) {
 		t.Fatal("resumed journal is not byte-identical to an uninterrupted one")
 	}
 
-	// Corruption beyond a torn tail refuses to resume.
-	bad := append([]byte("garbage not json\n"), full...)
-	badPath := filepath.Join(dir, "bad.jsonl")
-	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
-		t.Fatal(err)
+	// Corruption beyond a torn tail refuses to resume: a damaged first
+	// record with intact records after it, and a file that is not a journal.
+	mid := append([]byte(nil), full...)
+	mid[offs[0]+10] ^= 0xff
+	for name, data := range map[string][]byte{
+		"mid.journal":  mid,
+		"junk.journal": append([]byte("garbage not a journal\n"), full...),
+	} {
+		badPath := filepath.Join(dir, name)
+		if err := os.WriteFile(badPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenShardResume(badPath); !errors.Is(err, journal.ErrCorrupt) {
+			t.Fatalf("%s: corrupt journal resume error = %v, want ErrCorrupt", name, err)
+		}
 	}
-	if _, err := OpenShardResume(badPath); !errors.Is(err, ErrJournalCorrupt) {
-		t.Fatalf("corrupt journal resume error = %v, want ErrJournalCorrupt", err)
-	}
-	if _, err := OpenShardResume(filepath.Join(dir, "absent.jsonl")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := OpenShardResume(filepath.Join(dir, "absent.journal")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("absent journal resume error = %v, want ErrNotExist", err)
 	}
 }
@@ -187,7 +226,7 @@ func TestRunShardWorkerResume(t *testing.T) {
 	cfg := ScaleConfig{N: 30, Beta: 24, Seeds: 2, Seed: 7, ShardIndex: 1, ShardCount: 3}
 	dir := t.TempDir()
 
-	clean := filepath.Join(dir, "clean.jsonl")
+	clean := filepath.Join(dir, "clean.journal")
 	if _, err := RunShardWorker(context.Background(), cfg, clean, false); err != nil {
 		t.Fatal(err)
 	}
@@ -198,11 +237,9 @@ func TestRunShardWorkerResume(t *testing.T) {
 
 	// A "killed" worker: the clean journal cut after a few records, with a
 	// torn fragment appended.
-	lines := bytes.Split(bytes.TrimSuffix(want, []byte("\n")), []byte("\n"))
-	keep := bytes.Join(lines[:3], []byte("\n"))
-	keep = append(keep, '\n')
-	partial := append(append([]byte(nil), keep...), []byte(`{"ty`)...)
-	resumed := filepath.Join(dir, "resumed.jsonl")
+	keep := want[:recordOffsets(t, want)[2]]
+	partial := append(append([]byte(nil), keep...), 40, 0, 0, 0, 1)
+	resumed := filepath.Join(dir, "resumed.journal")
 	if err := os.WriteFile(resumed, partial, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +267,7 @@ func TestRunShardWorkerResume(t *testing.T) {
 
 	// Corrupt-beyond-torn-tail self-heals: the worker restarts fresh and
 	// still produces the identical journal.
-	corrupt := filepath.Join(dir, "corrupt.jsonl")
+	corrupt := filepath.Join(dir, "corrupt.journal")
 	if err := os.WriteFile(corrupt, append([]byte("garbage\n"), want[:40]...), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +292,8 @@ func TestMergeShardJournalsDegraded(t *testing.T) {
 	var headers []*ShardHeader
 	var nodeSets []map[int][]int
 	for shard := 0; shard < k; shard++ {
-		h, nodes, _, err := LoadShardJournal(bytes.NewReader(journalBytes(t, cfg, shard, k)), true)
+		path, _ := shardJournal(t, cfg, shard, k)
+		h, nodes, _, err := LoadShardJournal(path, true)
 		if err != nil {
 			t.Fatal(err)
 		}

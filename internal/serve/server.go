@@ -67,8 +67,9 @@ type Config struct {
 	// surface can report what was left behind. Default 30s.
 	DrainTimeout time.Duration
 
-	// StrictWAL refuses to start on a torn or corrupt WAL tail instead of
-	// truncating it — the -resume-strict of the service world.
+	// StrictWAL refuses to start on a damaged WAL frame (a torn tail or
+	// mid-log corruption) instead of truncating it — the -resume-strict of
+	// the service world.
 	StrictWAL bool
 
 	// Recorder receives the service's counters; nil disables telemetry.
@@ -158,8 +159,8 @@ type Server struct {
 }
 
 // New restores state from Dir (snapshot plus WAL replay) and returns a
-// server ready to Start. A torn WAL tail is truncated away unless
-// Config.StrictWAL is set.
+// server ready to Start. A damaged WAL frame and everything after it is
+// truncated away unless Config.StrictWAL is set.
 func New(cfg Config) (*Server, ReplayStats, error) {
 	cfg = cfg.withDefaults()
 	var st ReplayStats
@@ -692,7 +693,7 @@ func (s *Server) Kill() {
 	<-s.ingestDone
 	s.loopCancel()
 	<-s.recomputeDone
-	s.wal.f.Close()
+	s.wal.log.Close()
 }
 
 // Quiesce blocks until the queue is empty and the topology covers every

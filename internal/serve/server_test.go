@@ -347,7 +347,7 @@ func TestServerDrainRestart(t *testing.T) {
 
 	// After a clean drain the WAL is an empty generation.
 	st, err := os.Stat(filepath.Join(dir, "wal.log"))
-	if err != nil || st.Size() != walHeaderSize {
+	if err != nil || st.Size() != bareWALSize(t) {
 		t.Fatalf("WAL after drain: %v bytes, want bare header", st.Size())
 	}
 

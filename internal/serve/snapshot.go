@@ -12,6 +12,8 @@ import (
 	"tends/internal/core"
 )
 
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
 // The snapshot is the service's compaction artifact: the full acked row
 // history, the batch-id dedup set, and the last computed topology, written
 // atomically (tmp + fsync + rename + dir fsync). On restart the snapshot

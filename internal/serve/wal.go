@@ -3,81 +3,53 @@ package serve
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 
 	"tends/internal/chaos"
+	"tends/internal/journal"
 	"tends/internal/obs"
 )
 
 // The write-ahead log is the service's durability floor: a batch is acked
-// only after its frame is on disk (group fsync), so any acked row survives
+// only after its record is on disk (group fsync), so any acked row survives
 // kill -9 and is replayed byte-identically on restart.
 //
-// Layout:
-//
-//	header:  magic "TENDSWAL" | version u32 | n u32 | baseRow u64 | crc u32
-//	record:  payloadLen u32 | crc u32 (Castagnoli over payload) | payload
-//	payload: canonical batch encoding (codec.go)
-//
-// baseRow is how many rows were already durable in the snapshot when this
-// WAL generation was created; replay starts feeding state at that offset.
-// The tail is allowed to be torn — a crash mid-write leaves a frame with a
-// short or CRC-failing payload — and replay truncates it away, restoring
-// the exact acked prefix. Frames never reference each other, so truncation
-// can only drop un-acked suffix bytes.
+// The log is a journal (see package journal): its header payload is
+// n u32 | baseRow u64, and each record payload is one batch in the
+// canonical encoding of codec.go. baseRow is how many rows were already
+// durable in the snapshot when this WAL generation was created; replay
+// starts feeding state at that offset. A torn or corrupt frame ends replay
+// and is truncated away unless StrictWAL is set; frames never reference
+// each other, so truncation can only drop the log's suffix.
 
-const (
-	walMagic      = "TENDSWAL"
-	walVersion    = 1
-	walHeaderSize = 8 + 4 + 4 + 8 + 4
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// ErrWALCorrupt reports a non-clean WAL tail in strict mode; errors.Is
-// works through the wrapped detail.
-var ErrWALCorrupt = errors.New("serve: WAL corrupt")
+const walHeaderLen = 4 + 8
 
 // WAL is the append side of the log. Appends and syncs are serialized by
 // the caller (the service's single ingest loop).
 type WAL struct {
-	f       *os.File
+	log     *journal.Log
 	path    string
 	n       int
 	baseRow uint64
-	off     int64 // end offset of the last fully-written frame
 	rows    int64 // rows framed in this generation (appended + replayed)
 	buf     []byte
 }
 
-// CreateWAL starts a fresh log at path for n nodes, with baseRow rows
-// already durable in the snapshot. An existing file is truncated.
+// CreateWAL starts a fresh, synced log at path for n nodes, with baseRow
+// rows already durable in the snapshot. An existing file is truncated.
 func CreateWAL(path string, n int, baseRow uint64) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	hdr := binary.LittleEndian.AppendUint32(make([]byte, 0, walHeaderLen), uint32(n))
+	hdr = binary.LittleEndian.AppendUint64(hdr, baseRow)
+	log, err := journal.Create(path, hdr)
 	if err != nil {
 		return nil, fmt.Errorf("serve: create WAL: %w", err)
 	}
-	w := &WAL{f: f, path: path, n: n, baseRow: baseRow}
-	hdr := make([]byte, 0, walHeaderSize)
-	hdr = append(hdr, walMagic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, walVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(n))
-	hdr = binary.LittleEndian.AppendUint64(hdr, baseRow)
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr, crcTable))
-	if _, err := f.WriteAt(hdr, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("serve: write WAL header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	if err := log.Sync(); err != nil {
+		log.Close()
 		return nil, fmt.Errorf("serve: sync WAL header: %w", err)
 	}
-	w.off = walHeaderSize
-	return w, nil
+	return &WAL{log: log, path: path, n: n, baseRow: baseRow}, nil
 }
 
 // ReplayStats reports what OpenWAL recovered.
@@ -89,8 +61,8 @@ type ReplayStats struct {
 	Truncated int64 // torn-tail bytes truncated from the end of the log
 }
 
-// OpenWAL opens an existing log, replays every intact frame, and positions
-// the WAL for appending after the last good frame.
+// OpenWAL opens an existing log, replays every intact batch, and positions
+// the WAL for appending after the last one.
 //
 // skipRows rows at the head of the log are already part of the caller's
 // snapshot and are not re-applied (their batches still count as seen —
@@ -98,83 +70,41 @@ type ReplayStats struct {
 // additionally consults seen so retried batches recorded twice in the log
 // apply exactly once). apply receives each surviving batch in log order.
 //
-// A torn or corrupt tail is truncated in place (and synced) unless strict
-// is set, in which case OpenWAL fails with ErrWALCorrupt and touches
-// nothing.
+// A damaged frame is truncated away (and the truncation synced) unless
+// strict is set, in which case OpenWAL fails with journal.ErrCorrupt and
+// touches nothing. A frame that passes its checksum but does not decode as
+// a batch was written wrong, not torn, and fails the open in either mode.
 func OpenWAL(ctx context.Context, path string, n int, strict bool,
 	skipRows uint64, seen func(id uint64) bool, apply func(b batch) error) (*WAL, ReplayStats, error) {
 
 	var st ReplayStats
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	log, c, err := journal.Open(path, strict)
 	if err != nil {
 		return nil, st, fmt.Errorf("serve: open WAL: %w", err)
 	}
-	w := &WAL{f: f, path: path, n: n}
-
-	hdr := make([]byte, walHeaderSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		f.Close()
-		return nil, st, fmt.Errorf("%w: short header: %v", ErrWALCorrupt, err)
+	w := &WAL{log: log, path: path, n: n}
+	fail := func(err error) (*WAL, ReplayStats, error) {
+		log.Close()
+		return nil, st, err
 	}
-	if string(hdr[:8]) != walMagic {
-		f.Close()
-		return nil, st, fmt.Errorf("%w: bad magic %q", ErrWALCorrupt, hdr[:8])
+	if len(c.Header) != walHeaderLen {
+		return fail(fmt.Errorf("serve: open WAL: %w: %d-byte header, want %d", journal.ErrCorrupt, len(c.Header), walHeaderLen))
 	}
-	if got := binary.LittleEndian.Uint32(hdr[walHeaderSize-4:]); got != crc32.Checksum(hdr[:walHeaderSize-4], crcTable) {
-		f.Close()
-		return nil, st, fmt.Errorf("%w: header CRC mismatch", ErrWALCorrupt)
+	if hn := int(binary.LittleEndian.Uint32(c.Header)); hn != n {
+		return fail(fmt.Errorf("serve: WAL holds %d-node observations, server configured for %d", hn, n))
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != walVersion {
-		f.Close()
-		return nil, st, fmt.Errorf("serve: WAL version %d, want %d", v, walVersion)
-	}
-	if hn := int(binary.LittleEndian.Uint32(hdr[12:])); hn != n {
-		f.Close()
-		return nil, st, fmt.Errorf("serve: WAL holds %d-node observations, server configured for %d", hn, n)
-	}
-	w.baseRow = binary.LittleEndian.Uint64(hdr[16:])
+	w.baseRow = binary.LittleEndian.Uint64(c.Header[4:])
 	if w.baseRow > skipRows {
-		f.Close()
-		return nil, st, fmt.Errorf("serve: WAL base row %d is past the snapshot's %d rows — snapshot and log are from different histories", w.baseRow, skipRows)
+		return fail(fmt.Errorf("serve: WAL base row %d is past the snapshot's %d rows — snapshot and log are from different histories", w.baseRow, skipRows))
 	}
 	skip := skipRows - w.baseRow
 
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
-		return nil, st, fmt.Errorf("serve: seek WAL: %w", err)
-	}
-	w.off = walHeaderSize
-
-	var frame [8]byte
-	var corrupt error
 	applied := make(map[uint64]bool)
-	for w.off < size {
-		if _, err := f.ReadAt(frame[:], w.off); err != nil {
-			corrupt = fmt.Errorf("torn frame header at offset %d", w.off)
-			break
-		}
-		plen := int64(binary.LittleEndian.Uint32(frame[:4]))
-		want := binary.LittleEndian.Uint32(frame[4:])
-		if plen > maxBatchPayload || w.off+8+plen > size {
-			corrupt = fmt.Errorf("torn frame at offset %d (payload %d bytes)", w.off, plen)
-			break
-		}
-		payload := make([]byte, plen)
-		if _, err := f.ReadAt(payload, w.off+8); err != nil {
-			corrupt = fmt.Errorf("torn payload at offset %d", w.off)
-			break
-		}
-		if crc32.Checksum(payload, crcTable) != want {
-			corrupt = fmt.Errorf("payload CRC mismatch at offset %d", w.off)
-			break
-		}
+	for i, payload := range c.Records {
 		b, err := decodeBatchPayload(payload, n)
 		if err != nil {
-			corrupt = fmt.Errorf("undecodable frame at offset %d: %v", w.off, err)
-			break
+			return fail(fmt.Errorf("serve: open WAL: %w: record %d: %v", journal.ErrCorrupt, i, err))
 		}
-		w.off += 8 + plen
 		w.rows += int64(len(b.rows))
 
 		// The snapshot window: rows the snapshot already folded. Snapshots
@@ -182,8 +112,7 @@ func OpenWAL(ctx context.Context, path string, n int, strict bool,
 		// a frame edge; anything else means the files are mismatched.
 		if skip > 0 {
 			if uint64(len(b.rows)) > skip {
-				f.Close()
-				return nil, st, fmt.Errorf("serve: snapshot row count lands inside WAL batch %d — snapshot and log are from different histories", b.id)
+				return fail(fmt.Errorf("serve: snapshot row count lands inside WAL batch %d — snapshot and log are from different histories", b.id))
 			}
 			skip -= uint64(len(b.rows))
 			st.Skipped += int64(len(b.rows))
@@ -198,29 +127,18 @@ func OpenWAL(ctx context.Context, path string, n int, strict bool,
 		}
 		applied[b.id] = true
 		if err := apply(b); err != nil {
-			f.Close()
-			return nil, st, fmt.Errorf("serve: replay batch %d: %w", b.id, err)
+			return fail(fmt.Errorf("serve: replay batch %d: %w", b.id, err))
 		}
 		st.Batches++
 		st.Rows += int64(len(b.rows))
 	}
 	if skip > 0 {
-		f.Close()
-		return nil, st, fmt.Errorf("serve: snapshot holds %d more rows than the WAL — snapshot and log are from different histories", skip)
+		return fail(fmt.Errorf("serve: snapshot holds %d more rows than the WAL — snapshot and log are from different histories", skip))
 	}
-	if corrupt != nil {
-		if strict {
-			f.Close()
-			return nil, st, fmt.Errorf("%w: %v", ErrWALCorrupt, corrupt)
-		}
-		st.Truncated = size - w.off
-		if err := f.Truncate(w.off); err != nil {
-			f.Close()
-			return nil, st, fmt.Errorf("serve: truncate torn WAL tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, st, fmt.Errorf("serve: sync truncated WAL: %w", err)
+	if c.Damage != nil {
+		st.Truncated = c.Size - c.Damage.Offset
+		if err := log.Sync(); err != nil {
+			return fail(fmt.Errorf("serve: sync truncated WAL: %w", err))
 		}
 	}
 	rec := obs.From(ctx)
@@ -231,30 +149,18 @@ func OpenWAL(ctx context.Context, path string, n int, strict bool,
 
 // Append frames one batch at the end of the log. The frame is written but
 // NOT durable until Sync; callers must not ack before a successful Sync.
-// On any failure (injected or organic) the log is rewound to the last good
-// frame boundary, so a half-written frame can never precede later appends.
+// On a failed write the journal rewinds to the last whole frame, so a
+// half-written frame can never precede later appends.
 func (w *WAL) Append(ctx context.Context, id uint64, rows [][]int32) error {
 	if err := chaos.Maybe(ctx, chaos.SiteWALAppend); err != nil {
 		obs.From(ctx).Counter("serve/wal/append_errors").Inc()
 		return err
 	}
-	w.buf = w.buf[:0]
-	w.buf = append(w.buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	w.buf = appendBatchPayload(w.buf, id, rows)
-	payload := w.buf[8:]
-	binary.LittleEndian.PutUint32(w.buf[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.buf[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := w.f.WriteAt(w.buf, w.off); err != nil {
+	w.buf = appendBatchPayload(w.buf[:0], id, rows)
+	if err := w.log.Append(w.buf); err != nil {
 		obs.From(ctx).Counter("serve/wal/append_errors").Inc()
-		// Self-heal: drop whatever partial frame made it out. If even the
-		// truncate fails the file still ends in a CRC-failing frame, which
-		// replay treats as a torn tail — durability is unaffected either way.
-		if terr := w.f.Truncate(w.off); terr != nil {
-			return fmt.Errorf("serve: WAL append failed (%v) and rewind failed: %w", err, terr)
-		}
 		return fmt.Errorf("serve: WAL append: %w", err)
 	}
-	w.off += int64(len(w.buf))
 	w.rows += int64(len(rows))
 	obs.From(ctx).Counter("serve/wal/appends").Inc()
 	return nil
@@ -267,7 +173,7 @@ func (w *WAL) Sync(ctx context.Context) error {
 		obs.From(ctx).Counter("serve/wal/sync_errors").Inc()
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := w.log.Sync(); err != nil {
 		obs.From(ctx).Counter("serve/wal/sync_errors").Inc()
 		return fmt.Errorf("serve: WAL sync: %w", err)
 	}
@@ -282,7 +188,7 @@ func (w *WAL) Rows() int64 { return w.rows }
 func (w *WAL) BaseRow() uint64 { return w.baseRow }
 
 // Size returns the current end offset — header plus intact frames.
-func (w *WAL) Size() int64 { return w.off }
+func (w *WAL) Size() int64 { return w.log.Size() }
 
 // Reset replaces the log with an empty generation starting at baseRow.
 // Called after a snapshot has been durably persisted: every logged row is
@@ -296,26 +202,25 @@ func (w *WAL) Reset(baseRow uint64) error {
 		return err
 	}
 	if err := os.Rename(w.path+".tmp", w.path); err != nil {
-		fresh.f.Close()
+		fresh.log.Close()
 		return fmt.Errorf("serve: swap reset WAL: %w", err)
 	}
 	if err := syncDir(w.path); err != nil {
-		fresh.f.Close()
+		fresh.log.Close()
 		return err
 	}
-	w.f.Close()
-	w.f = fresh.f
+	w.log.Close()
+	w.log = fresh.log
 	w.baseRow = baseRow
-	w.off = walHeaderSize
 	w.rows = 0
 	return nil
 }
 
 // Close syncs and closes the file.
 func (w *WAL) Close() error {
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
+	if err := w.log.Sync(); err != nil {
+		w.log.Close()
 		return fmt.Errorf("serve: close WAL: %w", err)
 	}
-	return w.f.Close()
+	return w.log.Close()
 }

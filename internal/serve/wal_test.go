@@ -1,12 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"tends/internal/journal"
 )
 
 func walAppend(t *testing.T, w *WAL, id uint64, rows [][]int32) {
@@ -23,6 +29,17 @@ func replayAll(t *testing.T, path string, n int, strict bool, skip uint64, seen 
 		func(id uint64) bool { return seen[id] },
 		func(b batch) error { got = append(got, b); return nil })
 	return w, st, got, err
+}
+
+// bareWALSize is the size of a WAL generation holding no batches.
+func bareWALSize(t *testing.T) int64 {
+	t.Helper()
+	w, err := CreateWAL(filepath.Join(t.TempDir(), "bare.log"), 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	return w.Size()
 }
 
 func TestWALRoundTrip(t *testing.T) {
@@ -78,7 +95,7 @@ func TestWALRoundTrip(t *testing.T) {
 // TestWALTornTail cuts the log at every byte boundary inside the last
 // frame and checks that non-strict replay recovers exactly the intact
 // prefix, truncates the tail, and leaves the log appendable — while strict
-// replay refuses.
+// replay refuses and leaves the file as it was.
 func TestWALTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
@@ -103,8 +120,12 @@ func TestWALTornTail(t *testing.T) {
 		if err := os.WriteFile(torn, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := replayAll(t, torn, 10, true, 0, nil); !errors.Is(err, ErrWALCorrupt) {
-			t.Fatalf("cut %d: strict replay err = %v, want ErrWALCorrupt", cut, err)
+		if _, _, _, err := replayAll(t, torn, 10, true, 0, nil); !errors.Is(err, journal.ErrCorrupt) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("torn tail at byte %d", goodEnd)) {
+			t.Fatalf("cut %d: strict replay err = %v, want ErrCorrupt naming byte %d", cut, err, goodEnd)
+		}
+		if got, _ := os.ReadFile(torn); int64(len(got)) != cut {
+			t.Fatalf("cut %d: strict replay modified the file", cut)
 		}
 		w2, st, got, err := replayAll(t, torn, 10, false, 0, nil)
 		if err != nil {
@@ -129,9 +150,9 @@ func TestWALTornTail(t *testing.T) {
 	}
 }
 
-// TestWALCorruptMidFrame flips a byte inside the FIRST frame: everything
-// from that frame on is unrecoverable and must truncate away (the torn-
-// tail rule), leaving only the clean prefix.
+// TestWALCorruptMidFrame flips a byte inside the FIRST frame: reading
+// stops there, so everything from that frame on truncates away, leaving
+// only the header.
 func TestWALCorruptMidFrame(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	w, err := CreateWAL(path, 10, 0)
@@ -141,18 +162,23 @@ func TestWALCorruptMidFrame(t *testing.T) {
 	walAppend(t, w, 1, [][]int32{{0, 1, 2}})
 	walAppend(t, w, 2, [][]int32{{3, 4}})
 	w.Close()
+	bare := bareWALSize(t)
 	data, _ := os.ReadFile(path)
-	data[walHeaderSize+10] ^= 0xff
+	data[bare+10] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	if _, _, _, err := replayAll(t, path, 10, true, 0, nil); !errors.Is(err, journal.ErrCorrupt) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("corrupt frame at byte %d", bare)) {
+		t.Fatalf("strict replay err = %v, want mid-file corruption at byte %d", err, bare)
 	}
 	w2, st, got, err := replayAll(t, path, 10, false, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if st.Batches != 0 || len(got) != 0 || st.Truncated == 0 {
-		t.Fatalf("stats = %+v, want everything truncated", st)
+	if st.Batches != 0 || len(got) != 0 || st.Truncated != int64(len(data))-bare || w2.Size() != bare {
+		t.Fatalf("stats = %+v, size %d, want everything after byte %d truncated", st, w2.Size(), bare)
 	}
 }
 
@@ -172,11 +198,34 @@ func TestWALHeaderValidation(t *testing.T) {
 	}
 	// A flipped header byte fails the header CRC even in lenient mode.
 	data, _ := os.ReadFile(path)
-	data[9] ^= 0x01
+	data[bareWALSize(t)-walHeaderLen] ^= 0x01
 	bad := filepath.Join(dir, "bad.log")
 	os.WriteFile(bad, data, 0o644)
-	if _, _, _, err := replayAll(t, bad, 10, false, 0, nil); !errors.Is(err, ErrWALCorrupt) {
-		t.Fatalf("header corruption err = %v, want ErrWALCorrupt", err)
+	if _, _, _, err := replayAll(t, bad, 10, false, 0, nil); !errors.Is(err, journal.ErrCorrupt) {
+		t.Fatalf("header corruption err = %v, want ErrCorrupt", err)
+	}
+	// A WAL in the format that predates the shared journal is refused,
+	// naming the version, and left untouched.
+	old := binary.LittleEndian.AppendUint32([]byte("TENDSWAL"), 1)
+	old = append(old, make([]byte, 16)...)
+	os.WriteFile(bad, old, 0o644)
+	if _, _, _, err := replayAll(t, bad, 10, false, 0, nil); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("old-format WAL err = %v, want a version error", err)
+	}
+	// A frame that passes its checksum but is not a batch was written
+	// wrong, not torn: refused in lenient mode too, never truncated.
+	log, _, err := journal.Open(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.Append([]byte{1, 2, 3})
+	log.Close()
+	before, _ := os.ReadFile(path)
+	if _, _, _, err := replayAll(t, path, 10, false, 0, nil); !errors.Is(err, journal.ErrCorrupt) || !strings.Contains(err.Error(), "record 1") {
+		t.Fatalf("undecodable batch err = %v, want ErrCorrupt at record 1", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatal("undecodable batch was truncated")
 	}
 }
 
@@ -226,7 +275,7 @@ func TestWALReset(t *testing.T) {
 	if err := w.Reset(3); err != nil {
 		t.Fatal(err)
 	}
-	if w.BaseRow() != 3 || w.Rows() != 0 || w.Size() != walHeaderSize {
+	if w.BaseRow() != 3 || w.Rows() != 0 || w.Size() != bareWALSize(t) {
 		t.Fatalf("after reset: base %d rows %d size %d", w.BaseRow(), w.Rows(), w.Size())
 	}
 	walAppend(t, w, 2, [][]int32{{4}})

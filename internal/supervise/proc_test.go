@@ -8,7 +8,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -92,7 +91,7 @@ func TestSuperviseSubprocessKillResume(t *testing.T) {
 		cfg := experiments.ScaleConfig{N: 60, Beta: 48, Seeds: 2, Seed: 17, Workers: workers}
 		want := unshardedTopology(t, cfg)
 		dir := t.TempDir()
-		journal0 := filepath.Join(dir, "shard-0.jsonl")
+		journal0 := filepath.Join(dir, "shard-0.journal")
 
 		// Phase 1: run shard 0 as a slowed subprocess and kill -9 it once the
 		// journal shows real progress (header plus at least two node records).
@@ -110,8 +109,7 @@ func TestSuperviseSubprocessKillResume(t *testing.T) {
 				victim.Wait()
 				t.Fatal("victim worker made no journal progress in 30s")
 			}
-			data, err := os.ReadFile(journal0)
-			if err == nil && strings.Count(string(data), "\n") >= 3 {
+			if st := inspect(journal0, cfg.N, 0, 2); st.header && st.nodes >= 2 {
 				break
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -134,7 +132,7 @@ func TestSuperviseSubprocessKillResume(t *testing.T) {
 		res, err := Run(context.Background(), Options{
 			Shards:      2,
 			N:           cfg.N,
-			JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s)) },
+			JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", s)) },
 			Launch: ProcLauncher{
 				Command: func(a Attempt) []string { return helperArgv(cfg, a, 0) },
 				Stderr:  os.Stderr,
@@ -183,7 +181,7 @@ func TestSuperviseSubprocessStallKill(t *testing.T) {
 	res, err := Run(context.Background(), Options{
 		Shards:      2,
 		N:           cfg.N,
-		JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s)) },
+		JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", s)) },
 		Launch: freezeLauncher{ProcLauncher: launch, freeze: func(a Attempt, h Handle) {
 			if a.Shard == 0 && a.Attempt == 1 && !frozeOnce {
 				frozeOnce = true

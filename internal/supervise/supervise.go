@@ -101,7 +101,10 @@ type Options struct {
 	// StallTimeout kills an attempt whose journal has not grown for this
 	// long — the heartbeat: progress is journal bytes, not liveness pings,
 	// so a live-but-wedged worker is indistinguishable from a dead one,
-	// which is the point. 0 disables stall detection.
+	// which is the point. Node records commit in node order, so the window
+	// also covers finished nodes waiting behind a slower, smaller one; it
+	// must exceed the slowest single node search. 0 disables stall
+	// detection.
 	StallTimeout time.Duration
 	// PollEvery is the heartbeat poll interval. 0 means 25ms.
 	PollEvery time.Duration
@@ -230,32 +233,22 @@ type journalState struct {
 	corrupt bool
 }
 
-// inspect reads a journal leniently and classifies it for the restart
-// decision. Never errors: an unreadable or damaged journal is simply not
-// resumable.
+// inspect reads a journal without modifying it and classifies it for the
+// restart decision. Never errors: an unreadable or damaged journal is
+// simply not resumable.
 func inspect(path string, n, shard, count int) journalState {
-	f, err := os.Open(path)
-	if err != nil {
+	if fi, err := os.Stat(path); err != nil {
 		return journalState{}
-	}
-	defer f.Close()
-	if fi, err := f.Stat(); err == nil && fi.Size() == 0 {
+	} else if fi.Size() == 0 {
 		// A worker killed before its threshold selection finished leaves an
 		// empty file — the journal header only lands once the search starts.
 		// Nothing to resume, and nothing corrupt either.
 		return journalState{}
 	}
-	header, nodes, warnings, err := experiments.LoadShardJournal(f, false)
+	header, nodes, damage, err := experiments.LoadShardJournal(path, false)
 	st := journalState{exists: true, header: header != nil, nodes: len(nodes)}
-	if err != nil || header == nil {
-		st.corrupt = true
-		return st
-	}
-	if len(warnings) > 0 {
-		if _, torn := experiments.ShardResumeOffset(warnings); !torn {
-			st.corrupt = true
-		}
-	}
+	// Only a torn tail is resumable damage; mid-file corruption is not.
+	st.corrupt = err != nil || (damage != nil && !damage.Torn)
 	st.complete = !st.corrupt && len(nodes) == experiments.ShardOwnedNodes(n, shard, count)
 	return st
 }

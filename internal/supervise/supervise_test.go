@@ -3,7 +3,6 @@ package supervise
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -40,12 +39,7 @@ func mergeOutcomes(t *testing.T, cfg experiments.ScaleConfig, res *Result) *expe
 		if !out.Completed {
 			continue
 		}
-		f, err := os.Open(out.Journal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, nodes, _, err := experiments.LoadShardJournal(f, false)
-		f.Close()
+		h, nodes, _, err := experiments.LoadShardJournal(out.Journal, false)
 		if err != nil {
 			t.Fatalf("load %s: %v", out.Journal, err)
 		}
@@ -82,7 +76,7 @@ func TestSuperviseCleanRun(t *testing.T) {
 		res, err := Run(context.Background(), Options{
 			Shards:      3,
 			N:           cfg.N,
-			JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s)) },
+			JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", s)) },
 			Launch:      workerLauncher(cfg),
 			Retries:     0,
 			Seed:        cfg.Seed,
@@ -124,7 +118,7 @@ func TestSuperviseCrashResume(t *testing.T) {
 		res, err := Run(context.Background(), Options{
 			Shards:      3,
 			N:           cfg.N,
-			JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s)) },
+			JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", s)) },
 			Launch:      workerLauncher(cfg),
 			Retries:     25,
 			Seed:        cfg.Seed,
@@ -168,7 +162,7 @@ func TestSuperviseDegradedOutcome(t *testing.T) {
 	res, err := Run(context.Background(), Options{
 		Shards:      3,
 		N:           cfg.N,
-		JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s)) },
+		JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", s)) },
 		Launch:      launch,
 		Retries:     2,
 		Seed:        cfg.Seed,
@@ -195,12 +189,7 @@ func TestSuperviseDegradedOutcome(t *testing.T) {
 		if !out.Completed {
 			continue
 		}
-		f, err := os.Open(out.Journal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, nodes, _, lerr := experiments.LoadShardJournal(f, false)
-		f.Close()
+		h, nodes, _, lerr := experiments.LoadShardJournal(out.Journal, false)
 		if lerr != nil {
 			t.Fatal(lerr)
 		}
@@ -244,7 +233,7 @@ func TestSuperviseHedge(t *testing.T) {
 	res, err := Run(context.Background(), Options{
 		Shards:      2,
 		N:           cfg.N,
-		JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s)) },
+		JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", s)) },
 		Launch:      launch,
 		Retries:     0,
 		HedgeAfter:  20 * time.Millisecond,
@@ -259,7 +248,7 @@ func TestSuperviseHedge(t *testing.T) {
 		t.Fatalf("failed shards %v", res.Failed)
 	}
 	out := res.Outcomes[0]
-	if out.Hedges != 1 || out.Journal != filepath.Join(dir, "shard-0.jsonl.hedge") {
+	if out.Hedges != 1 || out.Journal != filepath.Join(dir, "shard-0.journal.hedge") {
 		t.Fatalf("shard 0 outcome: %+v", out)
 	}
 	if rec.Snapshot().Counters["supervise/hedge_wins"] < 1 {
@@ -288,7 +277,7 @@ func TestSuperviseStallKill(t *testing.T) {
 	res, err := Run(context.Background(), Options{
 		Shards:       2,
 		N:            cfg.N,
-		JournalPath:  func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s)) },
+		JournalPath:  func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", s)) },
 		Launch:       launch,
 		Retries:      1,
 		StallTimeout: 25 * time.Millisecond,
@@ -329,7 +318,7 @@ func TestSuperviseDeadlineKill(t *testing.T) {
 	res, err := Run(context.Background(), Options{
 		Shards:        1,
 		N:             cfg.N,
-		JournalPath:   func(s int) string { return filepath.Join(dir, "shard-0.jsonl") },
+		JournalPath:   func(s int) string { return filepath.Join(dir, "shard-0.journal") },
 		Launch:        launch,
 		Retries:       1,
 		ShardDeadline: 30 * time.Millisecond,
@@ -366,7 +355,7 @@ func TestSuperviseChaosKillBalance(t *testing.T) {
 	res, err := Run(context.Background(), Options{
 		Shards:      2,
 		N:           cfg.N,
-		JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s)) },
+		JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", s)) },
 		Launch:      workerLauncher(cfg),
 		Retries:     40,
 		PollEvery:   2 * time.Millisecond,
@@ -427,7 +416,7 @@ func TestSuperviseInterrupted(t *testing.T) {
 	res, err := Run(ctx, Options{
 		Shards:      1,
 		N:           10,
-		JournalPath: func(int) string { return filepath.Join(dir, "s.jsonl") },
+		JournalPath: func(int) string { return filepath.Join(dir, "s.journal") },
 		Launch:      launch,
 		PollEvery:   2 * time.Millisecond,
 	})

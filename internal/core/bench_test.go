@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -98,6 +99,30 @@ func BenchmarkLocalScoreLarge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.LocalScore(0, parents)
+	}
+}
+
+// scoreSink keeps benchmarked score evaluations from being optimized away.
+var scoreSink float64
+
+// BenchmarkLocalScoreSparse scores parent sets in the subcritical regime
+// of the scale workloads: β=1024 with ~1% of each column infected. k=3
+// runs the packed masks; k=8 and k=16 run the active-row path, whose
+// pooled scratch makes the steady state allocation-free.
+func BenchmarkLocalScoreSparse(b *testing.B) {
+	m := densityStatus(1024, 17, 0.01, 42)
+	s := NewScorer(m)
+	for _, k := range []int{3, 8, 16} {
+		parents := make([]int, k)
+		for i := range parents {
+			parents[i] = i + 1
+		}
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				scoreSink = s.LocalScore(0, parents)
+			}
+		})
 	}
 }
 

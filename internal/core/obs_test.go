@@ -84,6 +84,31 @@ func TestInferRecordsTelemetry(t *testing.T) {
 	}
 }
 
+// TestSearchSubSpans checks that the parent search splits its time into
+// the enumerate, merge and prune phases, each nested inside core/search
+// (workers run the phases concurrently, so they are compared at one
+// worker).
+func TestSearchSubSpans(t *testing.T) {
+	sm := statusesFromChain(t, 16, 80, 3)
+	rec := obs.New()
+	ctx := obs.With(context.Background(), rec)
+	if _, err := InferContext(ctx, sm, Options{BackwardPrune: true, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s := rec.Snapshot()
+	var sub int64
+	for _, span := range []string{"core/search/enumerate", "core/search/merge", "core/search/prune"} {
+		ts, ok := s.Timings[span]
+		if !ok || ts.Count == 0 {
+			t.Fatalf("span %q not recorded (timings: %v)", span, s.Timings)
+		}
+		sub += ts.TotalNS
+	}
+	if total := s.Timings["core/search"].TotalNS; sub > total {
+		t.Fatalf("search sub-spans (%d ns) exceed the enclosing core/search span (%d ns)", sub, total)
+	}
+}
+
 // TestInferIdenticalWithAndWithoutRecorder guards the side-channel-only
 // promise: attaching a recorder must not change the inferred topology.
 func TestInferIdenticalWithAndWithoutRecorder(t *testing.T) {

@@ -21,8 +21,9 @@ import (
 // every score evaluation runs over machine words: for a parent set of size
 // k, the instance count of each of the 2^k status combinations is a string
 // of AND/ANDNOT + popcount operations. For large parent sets, where 2^k
-// word scans would cost more than one pass over the observations, a
-// per-process fallback path is used instead.
+// word scans would cost more than one pass over the observations, the
+// active-row path counts only the processes in which some parent is
+// infected and derives the all-uninfected combination from column totals.
 type Scorer struct {
 	beta, n int
 	words   int        // 64-bit words per column
@@ -32,10 +33,10 @@ type Scorer struct {
 	ones    []int      // N₂ per node
 	logs    []float64  // logs[k] = log₂(k) for k in [0, β+1]; logs[0] unused
 	penalty PenaltyMode
-	// maskPool recycles the per-evaluation mask buffer of packedCombos;
-	// the scorer is shared by concurrent per-node searches, so the
-	// scratch cannot live on the struct directly.
-	maskPool sync.Pool
+	// scratchPool recycles the per-evaluation buffers of packedCombos and
+	// activeCombos; the scorer is shared by concurrent per-node searches,
+	// so the scratch cannot live on the struct directly.
+	scratchPool sync.Pool
 }
 
 // PenaltyMode selects the statistical-error penalty of the local score.
@@ -80,10 +81,7 @@ func NewScorer(m *diffusion.StatusMatrix) *Scorer {
 	for k := 1; k <= beta+1; k++ {
 		s.logs[k] = math.Log2(float64(k))
 	}
-	s.maskPool.New = func() any {
-		buf := make([]uint64, s.words)
-		return &buf
-	}
+	s.scratchPool.New = func() any { return new(scoreScratch) }
 	for v := 0; v < n; v++ {
 		col := make([]uint64, words)
 		copy(col, m.Column(v))
@@ -180,20 +178,24 @@ func (s *Scorer) LocalScoreParts(child int, parents []int) ScoreParts {
 		panic("core: parent sets beyond 63 nodes are not representable")
 	}
 	var parts ScoreParts
-	// Packed path: 2^k masked popcount scans. Worth it while the total
-	// word traffic 2^k·k·words stays below the per-process fallback's
-	// β·k steps with its hashing overhead.
+	// Packed path: up to 2^k masks split one parent at a time, cheapest
+	// while 2^k·words stays within β. Past that, the active-row path's
+	// cost follows the number of processes with an infected parent
+	// instead of 2^k.
 	if s.packedWorthwhile(k) {
 		s.packedCombos(child, parents, &parts)
 	} else {
-		s.genericCombos(child, parents, &parts)
+		s.activeCombos(child, parents, &parts)
 	}
 	s.finishParts(k, &parts)
 	return parts
 }
 
-// packedWorthwhile reports whether the 2^k masked-popcount path beats the
-// per-process fallback for a parent set of size k.
+// packedWorthwhile reports whether a parent set of size k is scored by the
+// 2^k masked-popcount path rather than the active-row path. The crossover
+// is on k alone: at β ≤ 250 the paper's dense columns favour the masks at
+// small k, and a crossover on the observed active-row count was measured
+// to slow the streaming recompute.
 func (s *Scorer) packedWorthwhile(k int) bool {
 	return k <= 2 || (1<<uint(k))*s.words <= s.beta
 }
@@ -210,80 +212,266 @@ func (s *Scorer) finishParts(k int, parts *ScoreParts) {
 	}
 }
 
-// packedCombos enumerates all 2^k parent-status combinations as bit masks.
+// packedCombos counts the 2^k parent-status combinations as bit masks. It
+// splits the all-processes mask on one parent per level, the last parent
+// first and its uninfected half first, so the leaves arrive in ascending
+// combo order (bit i of the combo is parents[i]'s status) and each split
+// costs one AND/ANDNOT over the words instead of rebuilding every mask from
+// all k columns. A split that leaves no process is not descended: every
+// combination below it is empty, and addCombo would skip it anyway, so the
+// fold sequence and the parts are unchanged.
 func (s *Scorer) packedCombos(child int, parents []int, parts *ScoreParts) {
 	k := len(parents)
-	childCol := s.cols[child]
 	if k == 0 {
 		n1 := s.beta - s.ones[child]
 		s.addCombo(parts, n1, s.ones[child])
 		return
 	}
-	bufp := s.maskPool.Get().(*[]uint64)
-	defer s.maskPool.Put(bufp)
-	mask := *bufp
-	for combo := 0; combo < 1<<uint(k); combo++ {
-		for w := 0; w < s.words; w++ {
-			mask[w] = ^uint64(0)
-		}
-		mask[s.words-1] = s.tail
-		for bi, p := range parents {
-			col := s.cols[p]
-			if combo&(1<<uint(bi)) != 0 {
-				for w := 0; w < s.words; w++ {
-					mask[w] &= col[w]
-				}
-			} else {
-				for w := 0; w < s.words; w++ {
-					mask[w] &^= col[w]
-				}
-			}
-		}
+	sc := s.scratchPool.Get().(*scoreScratch)
+	defer s.scratchPool.Put(sc)
+	if need := (k + 1) * s.words; cap(sc.masks) < need {
+		sc.masks = make([]uint64, need)
+	}
+	all := sc.masks[:s.words]
+	for w := range all {
+		all[w] = ^uint64(0)
+	}
+	all[s.words-1] = s.tail
+	s.splitCombos(s.cols[child], parents, sc.masks, parts)
+}
+
+// splitCombos folds the combinations below the mask at the head of masks,
+// which has already been split on every parent past parents[len-1]; the
+// rest of masks is scratch for the deeper levels.
+func (s *Scorer) splitCombos(childCol []uint64, parents []int, masks []uint64, parts *ScoreParts) {
+	words := s.words
+	mask := masks[:words:words]
+	if len(parents) == 0 {
 		nij, k1 := 0, 0
-		for w := 0; w < s.words; w++ {
-			nij += bits.OnesCount64(mask[w])
-			k1 += bits.OnesCount64(mask[w] & childCol[w])
+		for w, m := range mask {
+			nij += bits.OnesCount64(m)
+			k1 += bits.OnesCount64(m & childCol[w])
 		}
 		s.addCombo(parts, nij-k1, k1)
+		return
+	}
+	last := len(parents) - 1
+	col := s.cols[parents[last]]
+	sub := masks[words : 2*words : 2*words]
+	var live uint64
+	for w, m := range mask {
+		sub[w] = m &^ col[w]
+		live |= sub[w]
+	}
+	if live != 0 {
+		s.splitCombos(childCol, parents[:last], masks[words:], parts)
+	}
+	live = 0
+	for w, m := range mask {
+		sub[w] = m & col[w]
+		live |= sub[w]
+	}
+	if live != 0 {
+		s.splitCombos(childCol, parents[:last], masks[words:], parts)
 	}
 }
 
-// genericCombos walks the observations once, bucketing processes by their
-// parent-status key.
-func (s *Scorer) genericCombos(child int, parents []int, parts *ScoreParts) {
-	counts := make(map[uint64][2]int)
-	cols := make([][]uint64, len(parents))
-	for i, p := range parents {
-		cols[i] = s.cols[p]
-	}
+// scoreScratch is the pooled scratch of one score evaluation: the mask
+// stack of packedCombos, and the per-row keys of activeCombos.
+type scoreScratch struct {
+	masks []uint64
+	keys  []uint64
+}
+
+// activeCombos counts the parent-status combinations from the active rows
+// only: the processes in which at least one parent is infected. Each active
+// row contributes key<<1 | child, where bit i of key is parents[i]'s status
+// (packedCombos' combo numbering). Sorting the keys groups each combination
+// into one run, uninfected children first. The all-uninfected combination
+// (key 0) never occurs among active rows; its counts follow from the column
+// totals. Key 0 is folded first and the runs in ascending key order, so
+// addCombo sees exactly packedCombos' sequence, zero-count combinations
+// aside (which it skips), and the parts are bit-identical.
+func (s *Scorer) activeCombos(child int, parents []int, parts *ScoreParts) {
+	sc := s.scratchPool.Get().(*scoreScratch)
+	defer s.scratchPool.Put(sc)
+	keys, hits := s.activeKeys(sc.keys[:0], child, parents, 0, nil)
+	slices.Sort(keys)
+	sc.keys = keys
+	s.foldActive(parts, child, keys, hits)
+}
+
+// activeKeys appends the key parents' status bits<<1 | child status of
+// every process in which at least one of parents is infected, in process
+// order. With tag > 0 each key is shifted left by tag bits and the process
+// index stored below it. A non-nil mask receives the active processes as a
+// bitset. It returns the keys and how many of those processes have the
+// child infected.
+func (s *Scorer) activeKeys(keys []uint64, child int, parents []int, tag uint, mask []uint64) ([]uint64, int) {
 	childCol := s.cols[child]
-	for p := 0; p < s.beta; p++ {
-		w, b := p/64, uint(p%64)
-		var key uint64
-		for i := range cols {
-			if cols[i][w]&(1<<b) != 0 {
-				key |= 1 << uint(i)
+	hits := 0
+	var pw [63]uint64 // parents' status words at the current word index
+	for w := 0; w < s.words; w++ {
+		var active uint64
+		for i, p := range parents {
+			pw[i] = s.cols[p][w]
+			active |= pw[i]
+		}
+		if mask != nil {
+			mask[w] = active
+		}
+		cw := childCol[w]
+		hits += bits.OnesCount64(active & cw)
+		for active != 0 {
+			b := uint(bits.TrailingZeros64(active))
+			active &= active - 1
+			key := cw >> b & 1
+			for i := range parents {
+				key |= (pw[i] >> b & 1) << uint(i+1)
+			}
+			if tag > 0 {
+				key = key<<tag | uint64(w*64) | uint64(b)
+			}
+			keys = append(keys, key)
+		}
+	}
+	return keys, hits
+}
+
+// foldActive folds the combinations of sorted active-row keys (status
+// bits<<1 | child status, see activeCombos), preceded by the
+// all-uninfected combination derived from the child's column total: hits
+// is the number of active rows with the child infected.
+func (s *Scorer) foldActive(parts *ScoreParts, child int, keys []uint64, hits int) {
+	zero1 := s.ones[child] - hits
+	s.addCombo(parts, s.beta-len(keys)-zero1, zero1)
+	for i := 0; i < len(keys); {
+		combo := keys[i] >> 1
+		k0, k1 := 0, 0
+		for ; i < len(keys) && keys[i]>>1 == combo; i++ {
+			if keys[i]&1 == 0 {
+				k0++
+			} else {
+				k1++
 			}
 		}
-		cc := counts[key]
-		if childCol[w]&(1<<b) != 0 {
-			cc[1]++
-		} else {
-			cc[0]++
-		}
-		counts[key] = cc
+		s.addCombo(parts, k0, k1)
 	}
-	// Accumulate in sorted-key order: addCombo sums floats, and map
-	// iteration order would otherwise make the result vary run to run.
-	keys := make([]uint64, 0, len(counts))
-	for key := range counts {
+}
+
+// prefixScorer scores parent sets that extend one fixed prefix F: the
+// probe unions F ∪ W of a greedy merge round, listed as F's nodes followed
+// by W's new ones. Past the packed crossover it keeps F's active rows
+// sorted by their F key, so a probe neither rebuilds F's bits nor sorts.
+// It appends the new nodes' status bits above F's, adds the rows where only
+// a new node is infected, and orders the keys by one stable counting pass
+// on the new nodes' bits: within each of their patterns the rows already
+// ascend by F key. The fold order, and so every part, is LocalScoreParts'
+// to the bit. A prefixScorer serves one child and one goroutine.
+type prefixScorer struct {
+	s     *Scorer
+	child int
+	ready bool     // the fields below describe the current prefix
+	tag   uint     // low key bits holding the process index
+	rows  []uint64 // F's active rows: (F key<<1 | child)<<tag | process, sorted
+	hits  int      // of those rows, the ones with the child infected
+	mask  []uint64 // F's active rows as a bitset
+	keys  []uint64 // per-probe scratch
+	out   []uint64 // per-probe scratch: keys in fold order
+	count []int    // per-probe scratch: counting-pass buckets
+}
+
+// maxPrefixNew bounds the new nodes a probe may add for the counting pass,
+// whose 2^m buckets must stay small next to the rows it orders.
+const maxPrefixNew = 8
+
+func newPrefixScorer(s *Scorer, child int) prefixScorer {
+	return prefixScorer{s: s, child: child, tag: uint(max(1, bits.Len(uint(s.beta-1))))}
+}
+
+// reset marks the prepared prefix stale; call it whenever F changes.
+func (ps *prefixScorer) reset() { ps.ready = false }
+
+// parts returns LocalScoreParts(child, union) for a union whose first f
+// nodes are the current prefix F.
+func (ps *prefixScorer) parts(union []int, f int) ScoreParts {
+	s := ps.s
+	k, m := len(union), len(union)-f
+	if s.packedWorthwhile(k) || f == 0 || m > maxPrefixNew || uint(f+m+1)+ps.tag > 64 {
+		return s.LocalScoreParts(ps.child, union)
+	}
+	if !ps.ready {
+		if len(ps.mask) != s.words {
+			ps.mask = make([]uint64, s.words)
+		}
+		ps.rows, ps.hits = s.activeKeys(ps.rows[:0], ps.child, union[:f], ps.tag, ps.mask)
+		slices.Sort(ps.rows)
+		ps.ready = true
+	}
+	var nc [maxPrefixNew][]uint64 // the new nodes' columns
+	for j, v := range union[f:] {
+		nc[j] = s.cols[v]
+	}
+	shift := uint(f + 1)
+	childCol := s.cols[ps.child]
+	keys := ps.keys[:0]
+	hits := ps.hits
+	// Rows where only new nodes are infected: F key 0, so they lead their
+	// pattern's run in fold order.
+	for w := 0; w < s.words; w++ {
+		var only uint64
+		for j := 0; j < m; j++ {
+			only |= nc[j][w]
+		}
+		only &^= ps.mask[w]
+		cw := childCol[w]
+		hits += bits.OnesCount64(only & cw)
+		for only != 0 {
+			b := uint(bits.TrailingZeros64(only))
+			only &= only - 1
+			key := cw >> b & 1
+			for j := 0; j < m; j++ {
+				key |= (nc[j][w] >> b & 1) << (shift + uint(j))
+			}
+			keys = append(keys, key)
+		}
+	}
+	rowMask := uint64(1)<<ps.tag - 1
+	for _, r := range ps.rows {
+		row := r & rowMask
+		w, b := row>>6, row&63
+		key := r >> ps.tag
+		for j := 0; j < m; j++ {
+			key |= (nc[j][w] >> b & 1) << (shift + uint(j))
+		}
 		keys = append(keys, key)
 	}
-	slices.Sort(keys)
-	for _, key := range keys {
-		cc := counts[key]
-		s.addCombo(parts, cc[0], cc[1])
+	ps.keys = keys
+	// Stable counting pass on the new nodes' pattern.
+	if n := 1<<uint(m) + 1; cap(ps.count) < n {
+		ps.count = make([]int, n, 1<<maxPrefixNew+1)
 	}
+	count := ps.count[:1<<uint(m)+1]
+	clear(count)
+	for _, key := range keys {
+		count[key>>shift+1]++
+	}
+	for d := 1; d < len(count); d++ {
+		count[d] += count[d-1]
+	}
+	if cap(ps.out) < len(keys) {
+		ps.out = make([]uint64, len(keys), 2*len(keys))
+	}
+	out := ps.out[:len(keys)]
+	for _, key := range keys {
+		d := key >> shift
+		out[count[d]] = key
+		count[d]++
+	}
+	var parts ScoreParts
+	s.foldActive(&parts, ps.child, out, hits)
+	s.finishParts(k, &parts)
+	return parts
 }
 
 // comboScratch is the reusable mask tree of a combination-enumeration
@@ -296,10 +484,10 @@ type comboScratch struct {
 }
 
 // newComboScratch sizes a scratch for combinations of up to maxSize
-// parents. Depths past the packed/generic crossover are never
-// materialized — the enumeration scores those via the per-process
-// fallback, which needs no masks — so the total footprint stays bounded
-// by O(maxSize·β) bits.
+// parents. Depths past the packed/active-row crossover are never
+// materialized — the enumeration scores those via the active-row path,
+// which needs no masks — so the total footprint stays bounded by
+// O(maxSize·β) bits.
 func (s *Scorer) newComboScratch(maxSize int) *comboScratch {
 	lim := 0
 	for lim < maxSize && s.packedWorthwhile(lim+1) {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -111,9 +114,15 @@ func TestDeltaFormula(t *testing.T) {
 	}
 }
 
-// naiveScoreParts recomputes the local score components directly from the
-// definition, bucketing processes by parent-status combination.
-func naiveScoreParts(m *diffusion.StatusMatrix, child int, parents []int) ScoreParts {
+// naiveCombo is one parent-status combination's instance counts.
+type naiveCombo struct {
+	key    uint64
+	k0, k1 int // processes with the child uninfected / infected
+}
+
+// naiveCombos counts the parent-status combinations straight from the
+// definition, one status lookup per (process, parent), ascending by key.
+func naiveCombos(m *diffusion.StatusMatrix, child int, parents []int) []naiveCombo {
 	counts := map[uint64][2]int{}
 	for p := 0; p < m.Beta(); p++ {
 		var key uint64
@@ -130,11 +139,34 @@ func naiveScoreParts(m *diffusion.StatusMatrix, child int, parents []int) ScoreP
 		}
 		counts[key] = cc
 	}
+	out := make([]naiveCombo, 0, len(counts))
+	for key, cc := range counts {
+		out = append(out, naiveCombo{key: key, k0: cc[0], k1: cc[1]})
+	}
+	slices.SortFunc(out, func(a, b naiveCombo) int { return cmp.Compare(a.key, b.key) })
+	return out
+}
+
+// naiveScoreParts recomputes the local score components directly from the
+// definition, folding with the definitional ScoreParts.addCombo.
+func naiveScoreParts(m *diffusion.StatusMatrix, child int, parents []int) ScoreParts {
 	var parts ScoreParts
-	for _, cc := range counts {
-		parts.addCombo(cc[0], cc[1])
+	for _, c := range naiveCombos(m, child, parents) {
+		parts.addCombo(c.k0, c.k1)
 	}
 	parts.Phi = math.Exp2(float64(len(parents))) - float64(parts.Observed)
+	return parts
+}
+
+// naiveTableParts is naiveScoreParts folded the way every scoring path
+// folds: the scorer's table-backed addCombo in ascending key order. The
+// scoring paths must match it exactly, not merely within rounding.
+func naiveTableParts(s *Scorer, m *diffusion.StatusMatrix, child int, parents []int) ScoreParts {
+	var parts ScoreParts
+	for _, c := range naiveCombos(m, child, parents) {
+		s.addCombo(&parts, c.k0, c.k1)
+	}
+	s.finishParts(len(parents), &parts)
 	return parts
 }
 
@@ -163,24 +195,124 @@ func TestScorePartsMatchNaive(t *testing.T) {
 	}
 }
 
-// Force both internal paths explicitly across the word boundary (beta > 64)
-// and check they agree with each other.
+// densityStatus builds a beta×n status matrix whose columns 1..n-1 are
+// infected with probability density each. Column 0, the child, is a fair
+// coin so that both child statuses occur inside every combination.
+func densityStatus(beta, n int, density float64, seed int64) *diffusion.StatusMatrix {
+	rng := rand.New(rand.NewSource(seed))
+	m := diffusion.NewStatusMatrix(beta, n)
+	for p := 0; p < beta; p++ {
+		m.Set(p, 0, rng.Intn(2) == 1)
+		for v := 1; v < n; v++ {
+			m.Set(p, v, rng.Float64() < density)
+		}
+	}
+	return m
+}
+
+// Force both internal paths at every k from 0 to 20, across the word
+// boundary and at the sparse densities the active-row path exists for, and
+// require exact equality: the active-row path, the packed masks and the
+// naive definition fold the same counts in the same order, so every field
+// must match bit for bit. The packed path costs 2^k·k·words per call, so
+// short mode compares it only up to k=12; the naive comparison covers
+// every k in both modes.
 func TestScorePathsAgreeAcrossWordBoundary(t *testing.T) {
-	for _, beta := range []int{63, 64, 65, 128, 130} {
-		m := randomStatus(beta, 10, int64(beta))
-		s := NewScorer(m)
-		for k := 0; k <= 6; k++ {
+	const n = 21
+	maxPackedK := 20
+	if testing.Short() {
+		maxPackedK = 12
+	}
+	allZero := diffusion.NewStatusMatrix(130, n)
+	allOnes := diffusion.NewStatusMatrix(130, n)
+	rng := rand.New(rand.NewSource(5))
+	for p := 0; p < 130; p++ {
+		child := rng.Intn(2) == 1
+		allZero.Set(p, 0, child)
+		allOnes.Set(p, 0, child)
+		for v := 1; v < n; v++ {
+			allOnes.Set(p, v, true)
+		}
+	}
+	type instance struct {
+		name string
+		m    *diffusion.StatusMatrix
+	}
+	cases := []instance{
+		{"all-zero parents (no active rows)", allZero},
+		{"all-one parents (empty key-0 cell)", allOnes},
+	}
+	for _, beta := range []int{1, 63, 64, 65, 1024} {
+		for _, density := range []float64{0.005, 0.05, 0.5} {
+			cases = append(cases, instance{
+				fmt.Sprintf("beta=%d density=%v", beta, density),
+				densityStatus(beta, n, density, int64(beta)*1000+int64(density*1000)),
+			})
+		}
+	}
+	for _, tc := range cases {
+		s := NewScorer(tc.m)
+		for k := 0; k <= 20; k++ {
 			parents := make([]int, 0, k)
 			for j := 1; j <= k; j++ {
 				parents = append(parents, j)
 			}
-			var packed, generic ScoreParts
-			s.packedCombos(0, parents, &packed)
-			s.genericCombos(0, parents, &generic)
-			if packed.Observed != generic.Observed ||
-				math.Abs(packed.LogLikelihood-generic.LogLikelihood) > 1e-9 ||
-				math.Abs(packed.Penalty-generic.Penalty) > 1e-9 {
-				t.Fatalf("beta=%d k=%d: packed=%+v generic=%+v", beta, k, packed, generic)
+			var active ScoreParts
+			s.activeCombos(0, parents, &active)
+			s.finishParts(k, &active)
+			if naive := naiveTableParts(s, tc.m, 0, parents); active != naive {
+				t.Fatalf("%s k=%d:\nactive=%+v\nnaive =%+v", tc.name, k, active, naive)
+			}
+			if k <= maxPackedK {
+				var packed ScoreParts
+				s.packedCombos(0, parents, &packed)
+				s.finishParts(k, &packed)
+				if active != packed {
+					t.Fatalf("%s k=%d:\nactive=%+v\npacked=%+v", tc.name, k, active, packed)
+				}
+			}
+			if got := s.LocalScoreParts(0, parents); got != active {
+				t.Fatalf("%s k=%d: LocalScoreParts=%+v, want %+v", tc.name, k, got, active)
+			}
+		}
+	}
+}
+
+// The merge's prefix scorer must reproduce LocalScoreParts exactly for
+// every probe union F ∪ W: across the word boundary, at sparse and dense
+// columns, for prefixes on both sides of the packed crossover, for new-node
+// counts past its counting-pass bound, and across prefix changes.
+func TestPrefixScorerMatchesLocalScoreParts(t *testing.T) {
+	const n = 32
+	for _, beta := range []int{1, 63, 64, 65, 1024} {
+		for _, density := range []float64{0.005, 0.05, 0.5} {
+			m := densityStatus(beta, n, density, int64(beta)*7+int64(density*1000))
+			s := NewScorer(m)
+			rng := rand.New(rand.NewSource(int64(beta)))
+			ps := newPrefixScorer(s, 0)
+			var prefix []int
+			for f := 0; f <= 20; f++ {
+				ps.reset()
+				for probe := 0; probe < 4; probe++ {
+					union := append([]int(nil), prefix...)
+					for _, v := range rng.Perm(n - 1)[:1+rng.Intn(maxPrefixNew+2)] {
+						if !slices.Contains(union, v+1) {
+							union = append(union, v+1)
+						}
+					}
+					got, want := ps.parts(union, len(prefix)), s.LocalScoreParts(0, union)
+					if got != want {
+						t.Fatalf("beta=%d density=%v F=%v union=%v:\nprefix=%+v\nlocal =%+v", beta, density, prefix, union, got, want)
+					}
+				}
+				// Grow F by one node not yet in it.
+				for {
+					v := 1 + rng.Intn(n-1)
+					if !slices.Contains(prefix, v) {
+						prefix = append(prefix, v)
+						break
+					}
+				}
 			}
 		}
 	}

@@ -360,8 +360,13 @@ func validateOptions(sm *diffusion.StatusMatrix, opt Options) error {
 func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource, opt Options) (*Result, error) {
 	rec := obs.From(ctx)
 	tel := coreTel{
-		combos: rec.Counter("core/search/combos"),
-		merges: rec.Counter("core/search/merges"),
+		combos:    rec.Counter("core/search/combos"),
+		merges:    rec.Counter("core/search/merges"),
+		enumerate: rec.Histogram("core/search/enumerate"),
+		merge:     rec.Histogram("core/search/merge"),
+	}
+	if opt.BackwardPrune {
+		tel.prune = rec.Histogram("core/search/prune")
 	}
 	thresholdSpan := rec.StartSpan("core/threshold")
 	var autoTau float64
@@ -579,10 +584,13 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 }
 
 // coreTel bundles the telemetry handles the per-node searches update; the
-// zero value (nil counters) is a valid no-op.
+// zero value (nil handles) is a valid no-op.
 type coreTel struct {
 	combos *obs.Counter // combinations enumerated across all nodes
 	merges *obs.Counter // greedy merge steps accepted across all nodes
+	// Per-node time of each search phase, nested under core/search: the
+	// combination enumeration, the greedy merge, and the backward prune.
+	enumerate, merge, prune *obs.Histogram
 }
 
 // searchParents runs the greedy most-probable-parent-set search for one
@@ -603,7 +611,9 @@ func searchParents(ctx context.Context, s *Scorer, child int, cands []int, opt O
 	if opt.NodeDeadline > 0 {
 		deadline = time.Now().Add(opt.NodeDeadline)
 	}
+	span := tel.enumerate.Start()
 	combos, reason := enumerateCombos(ctx, s, child, cands, opt, deadline)
+	span.End()
 	tel.combos.Add(int64(len(combos)))
 	if ctx.Err() != nil && reason == DegradeNone {
 		reason = DegradeCancelled
@@ -613,11 +623,13 @@ func searchParents(ctx context.Context, s *Scorer, child int, cands []int, opt O
 	}
 	var parents []int
 	var cut bool
+	span = tel.merge.Start()
 	if opt.StaticGreedy {
 		parents, cut = staticMerge(s, child, combos, opt, tel.merges, deadline)
 	} else {
 		parents, cut = adaptiveMerge(ctx, s, child, combos, opt, tel.merges, deadline)
 	}
+	span.End()
 	if reason == DegradeNone {
 		switch {
 		case cut:
@@ -627,7 +639,9 @@ func searchParents(ctx context.Context, s *Scorer, child int, cands []int, opt O
 		}
 	}
 	if opt.BackwardPrune && reason == DegradeNone {
+		span = tel.prune.Start()
 		parents = backwardPrune(s, child, parents)
+		span.End()
 	}
 	return parents, reason
 }
@@ -679,8 +693,9 @@ type combo struct {
 // combination are derived incrementally from its (d-1)-prefix's masks in a
 // comboScratch, one AND/ANDNOT per mask, instead of rebuilding every mask
 // from all d columns per combination as a fresh LocalScoreParts call
-// would. Past the packed/generic crossover the per-process fallback takes
-// over unchanged.
+// would. Past the packed/active-row crossover, LocalScoreParts' active-row
+// path scores the combination from the rows where one of its nodes is
+// infected.
 //
 // Enumeration can be cut short three ways, reported through the returned
 // reason alongside whatever combinations were listed so far: context
@@ -775,7 +790,7 @@ func enumerateCombos(ctx context.Context, s *Scorer, child int, cands []int, opt
 // with the parents merged so far and reports cut = true; the caller keeps
 // the partial set as the node's degraded answer.
 func adaptiveMerge(ctx context.Context, s *Scorer, child int, combos []combo, opt Options, merges *obs.Counter, deadline time.Time) (parents []int, cut bool) {
-	st := newMergeState(combos)
+	st := newMergeState(s, child, combos)
 	curScore := s.LocalScore(child, nil)
 	emptyScore := curScore
 
@@ -802,7 +817,7 @@ func adaptiveMerge(ctx context.Context, s *Scorer, child int, combos []combo, op
 				heap.Pop(&h)
 				continue
 			}
-			parts := s.LocalScoreParts(child, union)
+			parts := st.score(union)
 			if !opt.DisableBound && !s.BoundHolds(child, len(union), parts.Phi) {
 				heap.Pop(&h)
 				continue
@@ -863,7 +878,7 @@ func (h *comboHeap) Pop() any {
 func staticMerge(s *Scorer, child int, combos []combo, opt Options, merges *obs.Counter, deadline time.Time) (parents []int, cut bool) {
 	sorted := append([]combo(nil), combos...)
 	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].score > sorted[b].score })
-	st := newMergeState(sorted)
+	st := newMergeState(s, child, sorted)
 	for i := range sorted {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			cut = true
@@ -874,7 +889,7 @@ func staticMerge(s *Scorer, child int, combos []combo, opt Options, merges *obs.
 		if union == nil {
 			continue
 		}
-		parts := s.LocalScoreParts(child, union)
+		parts := st.score(union)
 		if !opt.DisableBound && !s.BoundHolds(child, len(union), parts.Phi) {
 			continue
 		}
@@ -896,10 +911,11 @@ type mergeState struct {
 	inF     map[int]bool // non-nil only when the combos carry no masks
 	parents []int
 	buf     []int
+	scorer  prefixScorer // scores probe unions, which extend parents
 }
 
-func newMergeState(combos []combo) *mergeState {
-	st := &mergeState{}
+func newMergeState(s *Scorer, child int, combos []combo) *mergeState {
+	st := &mergeState{scorer: newPrefixScorer(s, child)}
 	if len(combos) > 0 && combos[0].mask == 0 {
 		st.inF = make(map[int]bool)
 	}
@@ -945,9 +961,15 @@ func (st *mergeState) probeUnion(c *combo) []int {
 	return union
 }
 
+// score returns the local score parts of a union from probeUnion.
+func (st *mergeState) score(union []int) ScoreParts {
+	return st.scorer.parts(union, len(st.parents))
+}
+
 // accept commits a probed union as the new parent set.
 func (st *mergeState) accept(c *combo, union []int) {
 	st.parents = append(st.parents, union[len(st.parents):]...)
+	st.scorer.reset()
 	if st.inF == nil {
 		st.mask |= c.mask
 	} else {

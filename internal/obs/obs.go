@@ -136,8 +136,19 @@ func (h *Histogram) Sum() time.Duration {
 	return time.Duration(h.sum.Load())
 }
 
-// Span times one phase: obtain it from Recorder.StartSpan, call End when the
-// phase finishes. The zero Span (from a nil Recorder) is a free no-op.
+// Start begins timing a phase recorded into h on End. Hot loops resolve the
+// histogram once and start spans from it, skipping StartSpan's name lookup.
+// On a nil Histogram it returns the zero Span, whose End is free.
+func (h *Histogram) Start() Span {
+	if h == nil {
+		return Span{}
+	}
+	return Span{h: h, start: time.Now()}
+}
+
+// Span times one phase: obtain it from Recorder.StartSpan or
+// Histogram.Start, call End when the phase finishes. The zero Span (from a
+// nil Recorder) is a free no-op.
 type Span struct {
 	h     *Histogram
 	start time.Time
@@ -244,7 +255,7 @@ func (r *Recorder) StartSpan(name string) Span {
 	if r == nil {
 		return Span{}
 	}
-	return Span{h: r.Histogram(name), start: time.Now()}
+	return r.Histogram(name).Start()
 }
 
 // sortedKeys returns the keys of m in sorted order.

@@ -140,6 +140,9 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if d := r.StartSpan("s").End(); d != 0 {
 		t.Fatalf("nil span measured %v, want 0", d)
 	}
+	if d := r.Histogram("s").Start().End(); d != 0 {
+		t.Fatalf("nil histogram span measured %v, want 0", d)
+	}
 	if s := r.Snapshot(); s.Counters != nil || s.Gauges != nil || s.Timings != nil {
 		t.Fatal("nil recorder snapshot must be empty")
 	}
@@ -162,6 +165,7 @@ func TestNoopPathDoesNotAllocate(t *testing.T) {
 		rec.Gauge("workers").Set(4)
 		rec.Histogram("lat").Observe(time.Millisecond)
 		rec.StartSpan("phase").End()
+		rec.Histogram("core/search/merge").Start().End()
 	})
 	if allocs != 0 {
 		t.Fatalf("no-op obs path allocated %.1f times per run, want 0", allocs)
@@ -216,5 +220,38 @@ func TestBucketQuantileExtremes(t *testing.T) {
 	ts := r.Snapshot().Timings["x"]
 	if ts.P50NS != math.MaxInt64 {
 		t.Fatalf("max-duration quantile = %d, want MaxInt64", ts.P50NS)
+	}
+}
+
+// TestQuantilesClampedToRange is the regression test for bucket-bound
+// quantiles escaping the observed range: a single 2.06 s sample sits in the
+// [2^30, 2^31) ns bucket, whose upper bound 2.15 s used to be reported as
+// p50 above the 2.06 s maximum. Quantiles now clamp to [min, max].
+func TestQuantilesClampedToRange(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		samples []time.Duration
+	}{
+		{"single sample", []time.Duration{2060 * time.Millisecond}},
+		{"identical samples", []time.Duration{3 * time.Millisecond, 3 * time.Millisecond, 3 * time.Millisecond}},
+		{"spread samples", []time.Duration{1100 * time.Microsecond, 1200 * time.Microsecond, 1300 * time.Microsecond}},
+	} {
+		r := New()
+		h := r.Histogram("x")
+		for _, d := range tc.samples {
+			h.Observe(d)
+		}
+		ts := r.Snapshot().Timings["x"]
+		for _, q := range []struct {
+			name string
+			v    int64
+		}{{"p50", ts.P50NS}, {"p90", ts.P90NS}, {"p99", ts.P99NS}} {
+			if q.v < ts.MinNS || q.v > ts.MaxNS {
+				t.Fatalf("%s: %s = %d outside [min, max] = [%d, %d]", tc.name, q.name, q.v, ts.MinNS, ts.MaxNS)
+			}
+		}
+		if ts.MinNS == ts.MaxNS && (ts.P50NS != ts.MinNS || ts.P99NS != ts.MinNS) {
+			t.Fatalf("%s: equal samples must report every quantile as the sample, got %+v", tc.name, ts)
+		}
 	}
 }

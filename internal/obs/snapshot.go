@@ -10,8 +10,9 @@ import (
 
 // TimingStats is the serialized form of one Histogram: counts and
 // nanosecond aggregates, plus quantiles approximated from the power-of-two
-// buckets (each reported quantile is the upper bound of the bucket that
-// contains it, so it overestimates by at most 2×).
+// buckets. Each reported quantile is the upper bound of the bucket that
+// contains it, clamped to [MinNS, MaxNS]: it overestimates by at most 2×
+// and never leaves the observed range.
 type TimingStats struct {
 	Count   int64 `json:"count"`
 	TotalNS int64 `json:"total_ns"`
@@ -83,9 +84,12 @@ func (h *Histogram) stats() TimingStats {
 	ts.MinNS = h.min.Load()
 	ts.MaxNS = h.max.Load()
 	ts.MeanNS = ts.TotalNS / ts.Count
-	ts.P50NS = bucketQuantile(&counts, ts.Count, 0.50)
-	ts.P90NS = bucketQuantile(&counts, ts.Count, 0.90)
-	ts.P99NS = bucketQuantile(&counts, ts.Count, 0.99)
+	quantile := func(q float64) int64 {
+		return min(max(bucketQuantile(&counts, ts.Count, q), ts.MinNS), ts.MaxNS)
+	}
+	ts.P50NS = quantile(0.50)
+	ts.P90NS = quantile(0.90)
+	ts.P99NS = quantile(0.99)
 	return ts
 }
 

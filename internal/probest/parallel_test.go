@@ -71,6 +71,28 @@ func TestRunContextObsCounters(t *testing.T) {
 	if iters < 12 || iters > int64(12*2000) {
 		t.Fatalf("probest/em_iters = %d out of [12, 24000]", iters)
 	}
+	// One pattern per distinct set of infected parents among the rows
+	// where the node is infected.
+	want := 0
+	for v := 0; v < 12; v++ {
+		seen := make(map[string]bool)
+		for p := 0; p < sm.Beta(); p++ {
+			if !sm.Get(p, v) {
+				continue
+			}
+			var key []byte
+			for _, u := range g.Parents(v) {
+				if sm.Get(p, u) {
+					key = append(key, byte(u))
+				}
+			}
+			seen[string(key)] = true
+		}
+		want += len(seen)
+	}
+	if got := rec.Counter("probest/patterns").Value(); got != int64(want) {
+		t.Fatalf("probest/patterns = %d, want %d", got, want)
+	}
 }
 
 func TestRunContextCancellation(t *testing.T) {

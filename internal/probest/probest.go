@@ -27,7 +27,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,7 +44,9 @@ type Options struct {
 	// early once no parameter moves by more than 1e-8.
 	Iterations int
 	// MinProb floors estimated probabilities away from 0/1 for numerical
-	// stability; 0 means 1e-4.
+	// stability; 0 means 1e-4. It must lie in [0, 0.5): at 0.5 or above
+	// the floor passes the cap 1−MinProb and every estimate collapses onto
+	// it.
 	MinProb float64
 	// Workers bounds the goroutines fitting nodes: 0 means GOMAXPROCS, 1
 	// forces serial. fitNode is deterministic (no RNG), so the estimate is
@@ -76,10 +80,14 @@ func Run(sm *diffusion.StatusMatrix, g *graph.Directed, opt Options) (*Estimate,
 
 // RunContext is Run with cancellation and observability: node fits run on a
 // bounded worker pool (Options.Workers), the context aborts remaining nodes,
-// and the context's obs recorder receives probest/nodes and
-// probest/em_iters counters. fitNode is deterministic, so the estimate is
-// byte-identical at any worker count.
+// and the context's obs recorder receives the probest/nodes,
+// probest/em_iters and probest/patterns counters (patterns: the distinct
+// parent patterns of the EM tables, summed over nodes). fitNode is
+// deterministic, so the estimate is byte-identical at any worker count.
 func RunContext(ctx context.Context, sm *diffusion.StatusMatrix, g *graph.Directed, opt Options) (*Estimate, error) {
+	if err := checkFloor("MinProb", opt.MinProb); err != nil {
+		return nil, err
+	}
 	opt = opt.withDefaults()
 	n := g.NumNodes()
 	if sm.N() != n {
@@ -102,21 +110,28 @@ func RunContext(ctx context.Context, sm *diffusion.StatusMatrix, g *graph.Direct
 	if workers > n {
 		workers = n
 	}
-	// Per-node results land in slices indexed by node (the Probs map is
-	// not safe for concurrent writes); merged serially below.
-	nodeProbs := make([][]float64, n)
-	var emIters atomic.Int64
+	infected := make([]int, n)
+	// Node v's parent probabilities land in probs[off[v]:off[v+1]] (the
+	// Probs map is not safe for concurrent writes); merged serially below.
+	off := make([]int, n+1)
+	for v := 0; v < n; v++ {
+		infected[v] = sm.CountInfected(v)
+		off[v+1] = off[v] + len(g.Parents(v))
+	}
+	probs := make([]float64, off[n])
+	var emIters, patterns atomic.Int64
 	var nextNode atomic.Int64
 	fitRange := func() {
+		var f fitter
 		for ctx.Err() == nil {
 			v := int(nextNode.Add(1)) - 1
 			if v >= n {
 				return
 			}
-			probs, leak, iters := fitNode(sm, v, g.Parents(v), opt)
-			nodeProbs[v] = probs
+			leak, iters, pats := f.fitNode(sm, v, g.Parents(v), infected, opt, probs[off[v]:off[v+1]])
 			est.Leaks[v] = leak
 			emIters.Add(int64(iters))
+			patterns.Add(int64(pats))
 		}
 	}
 	if workers <= 1 {
@@ -134,13 +149,22 @@ func RunContext(ctx context.Context, sm *diffusion.StatusMatrix, g *graph.Direct
 	}
 	for v := 0; v < n; v++ {
 		for i, u := range g.Parents(v) {
-			est.Probs[graph.Edge{From: u, To: v}] = nodeProbs[v][i]
+			est.Probs[graph.Edge{From: u, To: v}] = probs[off[v]+i]
 		}
 	}
 	rcd := obs.From(ctx)
 	rcd.Counter("probest/nodes").Add(int64(n))
 	rcd.Counter("probest/em_iters").Add(emIters.Load())
+	rcd.Counter("probest/patterns").Add(patterns.Load())
 	return est, nil
+}
+
+// checkFloor rejects a probability floor outside [0, 0.5), NaN included.
+func checkFloor(name string, floor float64) error {
+	if !(floor >= 0 && floor < 0.5) {
+		return fmt.Errorf("probest: %s %v outside [0, 0.5)", name, floor)
+	}
+	return nil
 }
 
 // EdgeProbs converts the estimate into the simulator's CSR layout for the
@@ -148,10 +172,13 @@ func RunContext(ctx context.Context, sm *diffusion.StatusMatrix, g *graph.Direct
 // for edges whose parent was never infected (no evidence), which the CSR
 // constructor rejects. Such edges get floor — effectively inert in cascade
 // simulation — and everything ≥ 1−floor is capped symmetrically. floor ≤ 0
-// means 1e-4.
+// means 1e-4; a floor of 0.5 or above, or NaN, is an error.
 func (e *Estimate) EdgeProbs(g *graph.Directed, floor float64) (*diffusion.EdgeProbs, error) {
 	if floor <= 0 {
 		floor = 1e-4
+	}
+	if err := checkFloor("floor", floor); err != nil {
+		return nil, err
 	}
 	clamped := make(map[graph.Edge]float64, len(e.Probs))
 	for edge, p := range e.Probs {
@@ -166,6 +193,69 @@ func (e *Estimate) EdgeProbs(g *graph.Directed, floor float64) (*diffusion.EdgeP
 	return diffusion.EdgeProbsFromMap(g, clamped)
 }
 
+// fitter holds one worker's scratch buffers, reused across the nodes it
+// fits so that a node allocates nothing beyond its output.
+type fitter struct {
+	block  []uint64  // parent keys of the 64 rows of one column word, stride kw
+	keys   []uint64  // parent key of every infected row, stride kw
+	order  []int32   // indices into keys, one per infected row, sorted by key
+	start  []int32   // pattern t's causes are active[start[t]:start[t+1]]
+	active []int32   // causes of each pattern: 0 = leak, j+1 = parents[j]
+	count  []float64 // infected rows per pattern
+	p, acc []float64
+}
+
+// buildTable groups the rows where v is infected by their pattern, the set
+// of v's parents infected in the row, and fills f.start, f.active and
+// f.count with one entry per distinct pattern. Rows where v is uninfected
+// are left out: they contribute nothing to the E-step. A key has one bit
+// per parent across kw = ⌈k/64⌉ words, so every parent-set size, none
+// included, takes the same path.
+func (f *fitter) buildTable(sm *diffusion.StatusMatrix, v int, parents []int) {
+	kw := (len(parents) + 63) / 64
+	f.block = slices.Grow(f.block[:0], 64*kw)[:64*kw]
+	f.keys = f.keys[:0]
+	f.order = f.order[:0]
+	for w, c := range sm.Column(v) {
+		if c == 0 {
+			continue
+		}
+		clear(f.block)
+		for j, u := range parents {
+			for b := sm.Column(u)[w] & c; b != 0; b &= b - 1 {
+				f.block[bits.TrailingZeros64(b)*kw+j/64] |= 1 << (j % 64)
+			}
+		}
+		for b := c; b != 0; b &= b - 1 {
+			r := bits.TrailingZeros64(b)
+			f.order = append(f.order, int32(len(f.order)))
+			f.keys = append(f.keys, f.block[r*kw:(r+1)*kw]...)
+		}
+	}
+	key := func(i int32) []uint64 { return f.keys[int(i)*kw : int(i+1)*kw] }
+	slices.SortFunc(f.order, func(a, b int32) int { return slices.Compare(key(a), key(b)) })
+
+	f.start = append(f.start[:0], 0)
+	f.active = f.active[:0]
+	f.count = f.count[:0]
+	for lo := 0; lo < len(f.order); {
+		k := key(f.order[lo])
+		hi := lo + 1
+		for hi < len(f.order) && slices.Equal(key(f.order[hi]), k) {
+			hi++
+		}
+		f.active = append(f.active, 0)
+		for w, word := range k {
+			for ; word != 0; word &= word - 1 {
+				f.active = append(f.active, int32(w*64+bits.TrailingZeros64(word)+1))
+			}
+		}
+		f.start = append(f.start, int32(len(f.active)))
+		f.count = append(f.count, float64(hi-lo))
+		lo = hi
+	}
+}
+
 // fitNode maximizes the noisy-OR likelihood of one node's column given its
 // parents' columns with the standard latent-variable EM: each active cause
 // u (the leak is cause 0, active in every case) carries a hidden "fired"
@@ -173,64 +263,58 @@ func (e *Estimate) EdgeProbs(g *graph.Directed, floor float64) (*diffusion.EdgeP
 // active set A, P(z_u = 1) = p_u / (1 - prod_{w in A}(1 - p_w)); on outcome
 // 0 every z_u is 0. The M-step averages the posteriors, which increases the
 // likelihood monotonically with no step size to tune.
-func fitNode(sm *diffusion.StatusMatrix, v int, parents []int, opt Options) ([]float64, float64, int) {
-	beta := sm.Beta()
+//
+// A row's posteriors depend only on its pattern, so each iteration runs
+// over the node's pattern table with the pattern counts as weights, and
+// the M-step divides by column totals: β for the leak and each parent's
+// infection count (infected, indexed by node). fitNode writes one
+// probability per parent into probs and returns the leak, the number of EM
+// iterations and the number of patterns.
+func (f *fitter) fitNode(sm *diffusion.StatusMatrix, v int, parents, infected []int, opt Options, probs []float64) (float64, int, int) {
+	f.buildTable(sm, v, parents)
 	k := len(parents)
 	// p[0] is the leak; p[j+1] belongs to parents[j].
-	p := make([]float64, k+1)
+	f.p = slices.Grow(f.p[:0], k+1)[:k+1]
+	f.acc = slices.Grow(f.acc[:0], k+1)[:k+1]
+	p, acc := f.p, f.acc
 	for j := range p {
 		p[j] = 0.2
 	}
-
-	// Materialize the active-cause sets per observation once.
-	type obs struct {
-		active  []int // indices into p (0 = leak, j+1 = parents[j])
-		outcome bool
-	}
-	cases := make([]obs, beta)
-	activeCount := make([]int, k+1)
-	for pi := 0; pi < beta; pi++ {
-		active := []int{0}
-		for j, u := range parents {
-			if sm.Get(pi, u) {
-				active = append(active, j+1)
-			}
+	activeCount := func(j int) int {
+		if j == 0 {
+			return sm.Beta()
 		}
-		for _, j := range active {
-			activeCount[j]++
-		}
-		cases[pi] = obs{active: active, outcome: sm.Get(pi, v)}
+		return infected[parents[j-1]]
 	}
 
-	acc := make([]float64, k+1)
+	// acc[j] sums count/(1−q) over the patterns where cause j is active,
+	// so p[j]·acc[j] is the posterior mass of z_j.
 	iters := 0
 	for iter := 0; iter < opt.Iterations; iter++ {
 		iters++
-		for j := range acc {
-			acc[j] = 0
-		}
-		for _, c := range cases {
-			if !c.outcome {
-				continue // all posteriors are 0
-			}
+		clear(acc)
+		for t, c := range f.count {
+			causes := f.active[f.start[t]:f.start[t+1]]
 			q := 1.0
-			for _, j := range c.active {
+			for _, j := range causes {
 				q *= 1 - p[j]
 			}
 			denom := 1 - q
 			if denom < 1e-12 {
 				denom = 1e-12
 			}
-			for _, j := range c.active {
-				acc[j] += p[j] / denom
+			w := c / denom
+			for _, j := range causes {
+				acc[j] += w
 			}
 		}
 		maxDelta := 0.0
 		for j := range p {
-			if activeCount[j] == 0 {
+			n := activeCount(j)
+			if n == 0 {
 				continue
 			}
-			next := acc[j] / float64(activeCount[j])
+			next := p[j] * acc[j] / float64(n)
 			if next < opt.MinProb {
 				next = opt.MinProb
 			}
@@ -246,9 +330,8 @@ func fitNode(sm *diffusion.StatusMatrix, v int, parents []int, opt Options) ([]f
 			break
 		}
 	}
-	probs := make([]float64, k)
-	for j := 0; j < k; j++ {
-		if activeCount[j+1] == 0 {
+	for j := range probs {
+		if activeCount(j+1) == 0 {
 			probs[j] = 0 // parent never infected: no evidence at all
 			continue
 		}
@@ -258,5 +341,5 @@ func fitNode(sm *diffusion.StatusMatrix, v int, parents []int, opt Options) ([]f
 	if leak <= opt.MinProb {
 		leak = 0
 	}
-	return probs, leak, iters
+	return leak, iters, len(f.count)
 }

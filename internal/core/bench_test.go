@@ -3,10 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
+	"tends/internal/datasets"
+	"tends/internal/diffusion"
 	"tends/internal/graph"
 )
 
@@ -79,6 +82,72 @@ func BenchmarkSelectThresholdFDR(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SelectThresholdFDR(imi, 150, 0.2)
+	}
+}
+
+// poolSink keeps benchmarked pools from being optimized away.
+var poolSink *valuePool
+
+// BenchmarkValuePool builds the threshold selectors' value pool serially
+// from one engine's pair values, the work the pairwise pass spreads over
+// its workers. dense is a paper-pipeline cell: the DUNF stand-in (n=750)
+// at β=250 with the §V defaults, 280k pairs. sparse is the scale regime:
+// β=1024 at 1% density over n=8000, about 3M co-occurring pairs plus the
+// never-co-occurring pairs as count-class runs.
+func BenchmarkValuePool(b *testing.B) {
+	dense := func(b *testing.B) []poolContribution {
+		g, err := datasets.DUNF(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		ep := diffusion.NewEdgeProbs(g, 0.3, 0.05, rng)
+		sim, err := diffusion.Simulate(ep, diffusion.Config{Alpha: 0.15, Beta: 250}, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var parts []poolContribution
+		for _, v := range ComputeIMI(sim.Statuses, false).PairValues() {
+			parts = append(parts, poolContribution{v, 1})
+		}
+		return parts
+	}
+	sparse := func(b *testing.B) []poolContribution {
+		s := ComputeSparseIMI(sparseRandomStatus(8000, 1024, 0.01, 42), false)
+		var parts []poolContribution
+		for v := 0; v < s.n; v++ {
+			for k := s.rowStart[v]; k < s.rowStart[v+1]; k++ {
+				if int(s.nbr[k]) > v {
+					parts = append(parts, poolContribution{s.val[k], 1})
+				}
+			}
+		}
+		for r, mv := range s.marginalVals {
+			parts = append(parts, poolContribution{mv, s.marginalCnt[r]})
+		}
+		return parts
+	}
+	for _, bc := range []struct {
+		name  string
+		parts func(*testing.B) []poolContribution
+	}{
+		{"dense/n=750/beta=250", dense},
+		{"sparse/n=8000/beta=1024", sparse},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			parts := bc.parts(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pb := newPoolBuilder(len(parts))
+				for _, p := range parts {
+					pb.add(p.v, p.c)
+				}
+				poolSink = pb.finish()
+			}
+			b.ReportMetric(float64(len(parts)), "values")
+			b.ReportMetric(float64(len(poolSink.pos)), "distinct")
+		})
 	}
 }
 

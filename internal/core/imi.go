@@ -18,7 +18,8 @@ import (
 // triangle is stored.
 type IMIMatrix struct {
 	n    int
-	vals []float64 // upper triangle, row-major: (i,j) with i<j
+	vals []float64  // upper triangle, row-major: (i,j) with i<j
+	pool *valuePool // every value of vals, counted during the pairwise pass
 }
 
 func triIndex(n, i, j int) int {
@@ -47,21 +48,12 @@ func (m *IMIMatrix) PairValues() []float64 {
 	return out
 }
 
-// VisitPairValues streams every unordered pairwise value (multiplicity 1)
-// without materializing a copy of the triangle; it is how the threshold
-// selectors consume the matrix.
-func (m *IMIMatrix) VisitPairValues(visit func(v float64, count int64)) {
-	for _, v := range m.vals {
-		visit(v, 1)
-	}
-}
-
-func (m *IMIMatrix) valuePool() *valuePool { return poolFrom(m) }
+func (m *IMIMatrix) valuePool() *valuePool { return m.pool }
 
 // nodePool summarizes the values involving node i for the per-node
 // threshold selector.
 func (m *IMIMatrix) nodePool(i int) *valuePool {
-	var b poolBuilder
+	b := newPoolBuilder(m.n - 1)
 	for j := 0; j < m.n; j++ {
 		if j != i {
 			b.add(m.vals[triIndex(m.n, i, j)], 1)
@@ -97,7 +89,10 @@ const imiRowBlock = 8
 // O(n²) pairwise stage checks ctx between row blocks and abandons the
 // computation — returning ctx's error and no matrix — once the context is
 // done. It is the hook the experiment harness uses to impose per-cell
-// deadlines on TENDS runs.
+// deadlines on TENDS runs. Each worker also counts the values it computes
+// into its own poolBuilder, so the threshold selectors' value pool costs a
+// merge and a sort of the distinct values after the pass, not a second walk
+// of the triangle.
 func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditional bool, workers int) (*IMIMatrix, error) {
 	// Telemetry handles are resolved once up front; on a recorder-less
 	// context they are nil and every update below is an allocation-free
@@ -110,6 +105,7 @@ func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditio
 	n := sm.N()
 	m := &IMIMatrix{n: n, vals: make([]float64, n*(n-1)/2)}
 	if n < 2 {
+		m.pool = newPoolBuilder(0).finish()
 		return m, ctx.Err()
 	}
 	beta := sm.Beta()
@@ -130,7 +126,7 @@ func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditio
 	// pair. Values are bit-identical to the per-pair walk: n11 is an exact
 	// integer either way and the cell arithmetic is unchanged.
 	nBlocks := (n - 1 + imiRowBlock - 1) / imiRowBlock
-	fillBlock := func(b int, cnt *[imiRowBlock]int) {
+	fillBlock := func(b int, cnt *[imiRowBlock]int, pb *poolBuilder) {
 		i0 := b * imiRowBlock
 		i1 := i0 + imiRowBlock
 		if i1 > n-1 {
@@ -150,7 +146,9 @@ func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditio
 			nj := ones[j]
 			for r := 0; r < nb; r++ {
 				i := i0 + r
-				m.vals[i*(2*n-i-1)/2+j-i-1] = pairValue(mt, traditional, beta, cnt[r], ones[i], nj)
+				v := pairValue(mt, traditional, beta, cnt[r], ones[i], nj)
+				m.vals[i*(2*n-i-1)/2+j-i-1] = v
+				pb.add(v, 1)
 			}
 			pairs += int64(nb)
 		}
@@ -163,14 +161,21 @@ func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditio
 	if workers > nBlocks {
 		workers = nBlocks
 	}
+	// Every worker's builder is sized for the whole triangle (capped): a
+	// worker's share is unknown under dynamic claiming.
+	pools := make([]*poolBuilder, workers)
+	for w := range pools {
+		pools[w] = newPoolBuilder(len(m.vals))
+	}
 	if workers <= 1 {
 		var cnt [imiRowBlock]int
 		for b := 0; b < nBlocks; b++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			fillBlock(b, &cnt)
+			fillBlock(b, &cnt, pools[0])
 		}
+		m.pool = pools[0].finish()
 		return m, nil
 	}
 	// Workers claim row blocks off a shared counter; blocks shrink as i
@@ -180,7 +185,7 @@ func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditio
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(pb *poolBuilder) {
 			defer wg.Done()
 			var cnt [imiRowBlock]int
 			for ctx.Err() == nil {
@@ -188,14 +193,18 @@ func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditio
 				if b >= nBlocks {
 					return
 				}
-				fillBlock(b, &cnt)
+				fillBlock(b, &cnt, pb)
 			}
-		}()
+		}(pools[w])
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	for _, pb := range pools[1:] {
+		pools[0].merge(pb)
+	}
+	m.pool = pools[0].finish()
 	return m, nil
 }
 

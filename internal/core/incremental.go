@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -123,39 +122,9 @@ func (c *IncrementalCounts) Source() *SparseIMI {
 		mt:       cachedMITable(c.beta),
 		rowStart: make([]int64, c.n+1),
 	}
-	if c.n == 0 {
-		s.pool = (&poolBuilder{}).finish()
-		return s
-	}
-
 	// Infected counts and count classes, exactly as the batch build derives
 	// them from column popcounts.
-	s.ones = append([]int32(nil), c.ones...)
-	classIdx := make([]int32, c.beta+1)
-	for v := 0; v < c.n; v++ {
-		classIdx[s.ones[v]] = 1
-	}
-	for cv := 0; cv <= c.beta; cv++ {
-		if classIdx[cv] != 0 {
-			classIdx[cv] = int32(len(s.classVals) + 1)
-			s.classVals = append(s.classVals, int32(cv))
-		}
-	}
-	nClasses := len(s.classVals)
-	s.classOf = make([]int32, c.n)
-	s.classSize = make([]int64, nClasses)
-	for v := range s.ones {
-		k := classIdx[s.ones[v]] - 1
-		s.classOf[v] = k
-		s.classSize[k]++
-	}
-	s.classNodes = make([][]int32, nClasses)
-	for k := range s.classNodes {
-		s.classNodes[k] = make([]int32, 0, s.classSize[k])
-	}
-	for v := range s.ones {
-		s.classNodes[s.classOf[v]] = append(s.classNodes[s.classOf[v]], int32(v))
-	}
+	s.setCountClasses(append([]int32(nil), c.ones...))
 
 	// CSR rows straight from the co-occurrence maps: neighbors ascending,
 	// values through the one shared pairValue expression.
@@ -165,8 +134,8 @@ func (c *IncrementalCounts) Source() *SparseIMI {
 	s.nbr = make([]int32, s.rowStart[c.n])
 	s.val = make([]float64, s.rowStart[c.n])
 	s.coPairs = s.rowStart[c.n] / 2
-	tally := newClassTally(nClasses)
-	var b poolBuilder
+	tally := newClassTally(len(s.classVals))
+	b := newPoolBuilder(int(s.coPairs))
 	for v := 0; v < c.n; v++ {
 		row := s.nbr[s.rowStart[v]:s.rowStart[v]]
 		for j := range c.nbr[v] {
@@ -187,36 +156,8 @@ func (c *IncrementalCounts) Source() *SparseIMI {
 	}
 
 	// Marginal runs for the never-co-occurring pairs, identical to the
-	// batch assembly (same class walk, same closed-form n11 = 0 value).
-	s.maxMarginal = make([]float64, nClasses)
-	for a := range s.maxMarginal {
-		s.maxMarginal[a] = math.Inf(-1)
-	}
-	for a := 0; a < nClasses; a++ {
-		for cc := a; cc < nClasses; cc++ {
-			var tot int64
-			if a == cc {
-				tot = s.classSize[a] * (s.classSize[a] - 1) / 2
-			} else {
-				tot = s.classSize[a] * s.classSize[cc]
-			}
-			zp := tot - tally.pairCount(a, cc)
-			if zp <= 0 {
-				continue
-			}
-			mv := pairValue(s.mt, c.traditional, c.beta, 0, int(s.classVals[a]), int(s.classVals[cc]))
-			s.marginalVals = append(s.marginalVals, mv)
-			s.marginalCnt = append(s.marginalCnt, zp)
-			b.add(mv, zp)
-			if mv > s.maxMarginal[a] {
-				s.maxMarginal[a] = mv
-			}
-			if mv > s.maxMarginal[cc] {
-				s.maxMarginal[cc] = mv
-			}
-		}
-	}
-	s.pool = b.finish()
+	// batch assembly (same helper, same closed-form n11 = 0 value).
+	s.finishMarginals(tally, b)
 	return s
 }
 

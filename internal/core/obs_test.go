@@ -84,6 +84,26 @@ func TestInferRecordsTelemetry(t *testing.T) {
 	}
 }
 
+// TestPoolRunsCounter checks core/threshold/pool_runs, the number of
+// distinct positive pairwise values the threshold selectors read, against a
+// count from the sort-based reference pool, on both engines.
+func TestPoolRunsCounter(t *testing.T) {
+	sm := statusesFromChain(t, 40, 120, 4)
+	want := int64(len(referenceOf(ComputeIMI(sm, false).PairValues()).pos))
+	if want == 0 {
+		t.Fatal("workload has no positive pairwise values")
+	}
+	for _, sparse := range []bool{false, true} {
+		rec := obs.New()
+		if _, err := InferContext(obs.With(context.Background(), rec), sm, Options{Sparse: sparse}); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Snapshot().Counters["core/threshold/pool_runs"]; got != want {
+			t.Fatalf("sparse=%v: core/threshold/pool_runs = %d, want %d", sparse, got, want)
+		}
+	}
+}
+
 // TestSearchSubSpans checks that the parent search splits its time into
 // the enumerate, merge and prune phases, each nested inside core/search
 // (workers run the phases concurrently, so they are compared at one

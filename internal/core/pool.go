@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"tends/internal/stats"
 )
@@ -25,76 +26,180 @@ type valuePool struct {
 	maxAll float64   // maximum value over all pairs (any sign); valid when total > 0
 }
 
-// poolBuilder accumulates (value, multiplicity) contributions in any order
-// and canonicalizes them: runs are sorted ascending and equal values merged,
-// so the finished pool depends only on the value multiset.
+// poolBuilder counts (value, multiplicity) contributions in any order. Each
+// strictly positive value is counted under its float64 bit pattern in an
+// open-addressing table, so the cost is one probe per contribution plus a
+// sort of the D distinct values at finish — the engines emit millions of
+// pair values that collapse to a few thousand distinct ones. Positive floats
+// order like their bit patterns, so finish sorts the keys as integers.
+// Builders filled by different workers merge; the finished pool depends
+// only on the value multiset, not on arrival or merge order.
 type poolBuilder struct {
-	vals   []float64
-	cnts   []int64
+	slots  []poolSlot // power-of-two table; key 0 marks an empty slot
+	used   int        // occupied slots
+	shift  uint       // 64 − log₂(len(slots)), for Fibonacci hashing
 	zeros  int64
 	total  int64
 	maxAll float64
+}
+
+// poolSlot is one distinct positive value: its bit pattern (never 0, since
+// +0 is counted in zeros) and its multiplicity.
+type poolSlot struct {
+	key uint64
+	cnt int64
+}
+
+// poolInitialMax caps a builder's initial table at 4096 distinct values
+// (128 KiB of slots); larger pools grow by doubling.
+const poolInitialMax = 1 << 12
+
+// newPoolBuilder returns a builder sized for hint distinct positive values,
+// capped at poolInitialMax. Callers pass the number of values they will
+// add, an upper bound on the distinct count, so small inputs never grow.
+func newPoolBuilder(hint int) *poolBuilder {
+	b := &poolBuilder{}
+	b.resize(max(16, 2*min(hint, poolInitialMax)))
+	return b
+}
+
+// resize rehashes into a table of at least size slots, rounded up to a
+// power of two. count keeps the load at most three quarters.
+func (b *poolBuilder) resize(size int) {
+	log := uint(1)
+	for 1<<log < size {
+		log++
+	}
+	old := b.slots
+	b.slots = make([]poolSlot, 1<<log)
+	b.shift = 64 - log
+	b.used = 0
+	for _, s := range old {
+		if s.key != 0 {
+			b.count(s.key, s.cnt)
+		}
+	}
+}
+
+// count adds c to the multiplicity of the positive value with bit pattern key.
+func (b *poolBuilder) count(key uint64, c int64) {
+	mask := uint64(len(b.slots) - 1)
+	for i := (key * 0x9E3779B97F4A7C15) >> b.shift; ; i = (i + 1) & mask {
+		s := &b.slots[i]
+		if s.key == key {
+			s.cnt += c
+			return
+		}
+		if s.key == 0 {
+			if 4*(b.used+1) > 3*len(b.slots) {
+				b.resize(2 * len(b.slots))
+				b.count(key, c)
+				return
+			}
+			s.key, s.cnt = key, c
+			b.used++
+			return
+		}
+	}
 }
 
 func (b *poolBuilder) add(v float64, c int64) {
 	if c <= 0 {
 		return
 	}
+	switch {
+	case v > 0:
+		b.count(math.Float64bits(v), c)
+	case v == 0:
+		v = 0 // −0 counts as +0, so maxAll does not depend on arrival order
+		b.zeros += c
+	}
 	if b.total == 0 || v > b.maxAll {
 		b.maxAll = v
 	}
 	b.total += c
-	if v == 0 {
-		b.zeros += c
+}
+
+// merge folds o's counts into b.
+func (b *poolBuilder) merge(o *poolBuilder) {
+	if o.total == 0 {
 		return
 	}
-	if v > 0 {
-		b.vals = append(b.vals, v)
-		b.cnts = append(b.cnts, c)
+	if b.total == 0 || o.maxAll > b.maxAll {
+		b.maxAll = o.maxAll
 	}
-}
-
-func (b *poolBuilder) Len() int           { return len(b.vals) }
-func (b *poolBuilder) Less(i, j int) bool { return b.vals[i] < b.vals[j] }
-func (b *poolBuilder) Swap(i, j int) {
-	b.vals[i], b.vals[j] = b.vals[j], b.vals[i]
-	b.cnts[i], b.cnts[j] = b.cnts[j], b.cnts[i]
-}
-
-func (b *poolBuilder) finish() *valuePool {
-	sort.Sort(b)
-	// Merge equal values in place; equal runs are interchangeable, so the
-	// merged pool is independent of the insertion order.
-	out := 0
-	for i := 0; i < len(b.vals); i++ {
-		if out > 0 && b.vals[i] == b.vals[out-1] {
-			b.cnts[out-1] += b.cnts[i]
-			continue
+	b.total += o.total
+	b.zeros += o.zeros
+	for _, s := range o.slots {
+		if s.key != 0 {
+			b.count(s.key, s.cnt)
 		}
-		b.vals[out] = b.vals[i]
-		b.cnts[out] = b.cnts[i]
-		out++
 	}
-	return &valuePool{
-		pos:    b.vals[:out],
-		posCnt: b.cnts[:out],
+}
+
+// finish sorts the distinct positive values and returns the canonical pool.
+// It compacts the table in place, so the builder is spent afterwards.
+func (b *poolBuilder) finish() *valuePool {
+	runs := b.slots[:0]
+	for _, s := range b.slots {
+		if s.key != 0 {
+			runs = append(runs, s)
+		}
+	}
+	sorted := make([]poolSlot, len(runs))
+	sortSlots(runs, sorted)
+	p := &valuePool{
+		pos:    make([]float64, len(runs)),
+		posCnt: make([]int64, len(runs)),
 		zeros:  b.zeros,
 		total:  b.total,
 		maxAll: b.maxAll,
 	}
+	for r, s := range sorted {
+		p.pos[r] = math.Float64frombits(s.key)
+		p.posCnt[r] = s.cnt
+	}
+	return p
 }
 
-// pairValueVisitor streams every unordered pairwise value with a
-// multiplicity; the visit order is unspecified and multiplicities for equal
-// values may arrive split across calls.
-type pairValueVisitor interface {
-	VisitPairValues(visit func(v float64, count int64))
-}
-
-func poolFrom(src pairValueVisitor) *valuePool {
-	var b poolBuilder
-	src.VisitPairValues(b.add)
-	return b.finish()
+// sortSlots writes slots, sorted by key ascending, to out (of the same
+// length), using slots as scratch. Past a few hundred slots an LSD radix
+// sort over the key bytes beats pdqsort several times over; a byte that
+// every key shares (the sign and the high exponent bits of same-scale
+// values) costs no pass.
+func sortSlots(slots, out []poolSlot) {
+	if len(slots) < 256 {
+		copy(out, slots)
+		slices.SortFunc(out, func(a, b poolSlot) int { return cmp.Compare(a.key, b.key) })
+		return
+	}
+	var counts [8][256]int
+	for _, s := range slots {
+		for d := range counts {
+			counts[d][byte(s.key>>(8*d))]++
+		}
+	}
+	src, dst := slots, out
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(slots[0].key>>(8*d))] == len(slots) {
+			continue
+		}
+		sum := 0
+		for i, n := range c {
+			c[i] = sum
+			sum += n
+		}
+		for _, s := range src {
+			b := byte(s.key >> (8 * d))
+			dst[c[b]] = s
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &out[0] {
+		copy(out, src)
+	}
 }
 
 // twoMeansTau runs the pinned two-means selector over the pool.

@@ -88,40 +88,11 @@ func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, tr
 		mt:       cachedMITable(beta),
 		rowStart: make([]int64, n+1),
 	}
-	if n == 0 {
-		s.pool = (&poolBuilder{}).finish()
-		return s, ctx.Err()
+	ones := make([]int32, n)
+	for v := range ones {
+		ones[v] = int32(sm.CountInfected(v))
 	}
-
-	// Infected counts and count classes.
-	s.ones = make([]int32, n)
-	classIdx := make([]int32, beta+1)
-	for v := 0; v < n; v++ {
-		s.ones[v] = int32(sm.CountInfected(v))
-		classIdx[s.ones[v]] = 1
-	}
-	for c := 0; c <= beta; c++ {
-		if classIdx[c] != 0 {
-			classIdx[c] = int32(len(s.classVals) + 1)
-			s.classVals = append(s.classVals, int32(c))
-		}
-	}
-	nClasses := len(s.classVals)
-	s.classOf = make([]int32, n)
-	s.classSize = make([]int64, nClasses)
-	for v := range s.ones {
-		k := classIdx[s.ones[v]] - 1
-		s.classOf[v] = k
-		s.classSize[k]++
-	}
-	s.classNodes = make([][]int32, nClasses)
-	for k := range s.classNodes {
-		s.classNodes[k] = make([]int32, 0, s.classSize[k])
-	}
-	for v := range s.ones {
-		k := s.classOf[v]
-		s.classNodes[k] = append(s.classNodes[k], int32(v))
-	}
+	s.setCountClasses(ones)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -233,15 +204,20 @@ func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, tr
 	s.coPairs = s.rowStart[n] / 2
 
 	// Pass B: fill each row (neighbors sorted ascending), compute n11 via
-	// the gather kernel, derive values, and tally co-occurring class pairs
-	// (i<j once) for the marginal-run bookkeeping. Stamps use n+v so they
-	// can never collide with pass A marks on a reused scratch.
+	// the gather kernel, derive values, and count each co-occurring pair
+	// (i<j once) into the worker's class tally and value pool for the
+	// marginal-run bookkeeping. Stamps use n+v so they can never collide
+	// with pass A marks on a reused scratch.
+	nClasses := len(s.classVals)
 	tallies := make([]*classTally, workers)
+	pools := make([]*poolBuilder, workers)
 	var tallySlot atomic.Int64
 	parallelNodes(func(v int, sc *sparseScratch) {
 		if sc.tally == nil {
 			sc.tally = newClassTally(nClasses)
-			tallies[int(tallySlot.Add(1))-1] = sc.tally
+			sc.pool = newPoolBuilder(int(s.coPairs))
+			slot := int(tallySlot.Add(1)) - 1
+			tallies[slot], pools[slot] = sc.tally, sc.pool
 		}
 		row := s.nbr[s.rowStart[v]:s.rowStart[v]]
 		mark := int32(n + v)
@@ -264,9 +240,11 @@ func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, tr
 		base := s.rowStart[v]
 		cv := s.classOf[v]
 		for k, j := range row {
-			s.val[base+int64(k)] = pairValue(s.mt, traditional, beta, n11[k], ni, int(s.ones[j]))
+			val := pairValue(s.mt, traditional, beta, n11[k], ni, int(s.ones[j]))
+			s.val[base+int64(k)] = val
 			if int(j) > v {
 				sc.tally.add(cv, s.classOf[j])
+				sc.pool.add(val, 1)
 			}
 		}
 	})
@@ -274,28 +252,68 @@ func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, tr
 		return nil, err
 	}
 	tally := newClassTally(nClasses)
-	for _, t := range tallies {
+	pool := newPoolBuilder(0)
+	for w, t := range tallies {
 		if t != nil {
 			tally.merge(t)
+			pool.merge(pools[w])
 		}
 	}
+	s.finishMarginals(tally, pool)
 
-	// Marginal runs: for every unordered class pair, the pairs that never
-	// co-occur share one closed-form value (n11 = 0). A class pair whose
-	// counts sum past β cannot have a zero pair (pigeonhole), and indeed
-	// its zero-pair multiplicity is always 0 here, so the n11 = 0 cell
-	// arithmetic below never sees negative counts.
+	rowsC.Add(int64(n))
+	pairsC.Add(s.coPairs)
+	totalPairs := int64(n) * int64(n-1) / 2
+	skipC.Add(totalPairs - s.coPairs)
+	return s, nil
+}
+
+// setCountClasses records the per-node infected counts and derives the
+// count classes from them: the distinct counts ascending, each node's class,
+// and every class's size and members. The batch build and the incremental
+// fold both call it, so their classes agree by construction.
+func (s *SparseIMI) setCountClasses(ones []int32) {
+	s.ones = ones
+	classIdx := make([]int32, s.beta+1)
+	for _, c := range ones {
+		classIdx[c] = 1
+	}
+	for c := range classIdx {
+		if classIdx[c] != 0 {
+			classIdx[c] = int32(len(s.classVals) + 1)
+			s.classVals = append(s.classVals, int32(c))
+		}
+	}
+	nClasses := len(s.classVals)
+	s.classOf = make([]int32, len(ones))
+	s.classSize = make([]int64, nClasses)
+	for v, c := range ones {
+		k := classIdx[c] - 1
+		s.classOf[v] = k
+		s.classSize[k]++
+	}
+	s.classNodes = make([][]int32, nClasses)
+	for k := range s.classNodes {
+		s.classNodes[k] = make([]int32, 0, s.classSize[k])
+	}
+	for v, k := range s.classOf {
+		s.classNodes[k] = append(s.classNodes[k], int32(v))
+	}
+}
+
+// finishMarginals completes an engine whose CSR rows are filled: tally
+// holds the co-occurring pairs per class pair and b their values, once per
+// unordered pair. For every unordered class pair, the pairs that never
+// co-occur share one closed-form value (n11 = 0); finishMarginals records
+// those marginal runs, adds them to b and finishes the value pool. A class
+// pair whose counts sum past β cannot have a zero pair (pigeonhole), and
+// indeed its zero-pair multiplicity is always 0 here, so the n11 = 0 cell
+// arithmetic below never sees negative counts.
+func (s *SparseIMI) finishMarginals(tally *classTally, b *poolBuilder) {
+	nClasses := len(s.classVals)
 	s.maxMarginal = make([]float64, nClasses)
 	for a := range s.maxMarginal {
 		s.maxMarginal[a] = math.Inf(-1)
-	}
-	var b poolBuilder
-	for v := 0; v < n; v++ {
-		for k := s.rowStart[v]; k < s.rowStart[v+1]; k++ {
-			if int(s.nbr[k]) > v {
-				b.add(s.val[k], 1)
-			}
-		}
 	}
 	for a := 0; a < nClasses; a++ {
 		for c := a; c < nClasses; c++ {
@@ -309,7 +327,7 @@ func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, tr
 			if zp <= 0 {
 				continue
 			}
-			mv := pairValue(s.mt, traditional, beta, 0, int(s.classVals[a]), int(s.classVals[c]))
+			mv := pairValue(s.mt, s.traditional, s.beta, 0, int(s.classVals[a]), int(s.classVals[c]))
 			s.marginalVals = append(s.marginalVals, mv)
 			s.marginalCnt = append(s.marginalCnt, zp)
 			b.add(mv, zp)
@@ -322,12 +340,6 @@ func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, tr
 		}
 	}
 	s.pool = b.finish()
-
-	rowsC.Add(int64(n))
-	pairsC.Add(s.coPairs)
-	totalPairs := int64(n) * int64(n-1) / 2
-	skipC.Add(totalPairs - s.coPairs)
-	return s, nil
 }
 
 // sparseScratch is the per-worker state of the build passes.
@@ -335,6 +347,7 @@ type sparseScratch struct {
 	stamp []int32
 	n11   []int
 	tally *classTally
+	pool  *poolBuilder
 }
 
 func newSparseScratch(n int) *sparseScratch {
@@ -492,22 +505,6 @@ func (s *SparseIMI) Candidates(i int, tau float64) []int {
 	return out
 }
 
-// VisitPairValues streams every unordered pairwise value: co-occurring
-// pairs individually and never-co-occurring pairs as class-pair runs with
-// their multiplicities.
-func (s *SparseIMI) VisitPairValues(visit func(v float64, count int64)) {
-	for v := 0; v < s.n; v++ {
-		for k := s.rowStart[v]; k < s.rowStart[v+1]; k++ {
-			if int(s.nbr[k]) > v {
-				visit(s.val[k], 1)
-			}
-		}
-	}
-	for r, mv := range s.marginalVals {
-		visit(mv, s.marginalCnt[r])
-	}
-}
-
 func (s *SparseIMI) valuePool() *valuePool { return s.pool }
 
 // nodePool summarizes the values involving node i for the per-node
@@ -515,8 +512,8 @@ func (s *SparseIMI) valuePool() *valuePool { return s.pool }
 // count class, weighted by how many of that class's nodes never co-occur
 // with i. Bit-identical to the dense nodePool (same value multiset).
 func (s *SparseIMI) nodePool(i int) *valuePool {
-	var b poolBuilder
 	lo, hi := s.rowStart[i], s.rowStart[i+1]
+	b := newPoolBuilder(int(hi-lo) + len(s.classVals))
 	perClass := make([]int64, len(s.classVals))
 	for k := lo; k < hi; k++ {
 		b.add(s.val[k], 1)

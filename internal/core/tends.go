@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"sort"
@@ -337,8 +338,14 @@ func validateOptions(sm *diffusion.StatusMatrix, opt Options) error {
 	if opt.MaxComboSize < 1 {
 		return fmt.Errorf("core: MaxComboSize must be >= 1, got %d", opt.MaxComboSize)
 	}
-	if opt.ThresholdScale < 0 {
-		return fmt.Errorf("core: ThresholdScale must be non-negative, got %v", opt.ThresholdScale)
+	if !(opt.ThresholdScale >= 0) || math.IsInf(opt.ThresholdScale, 1) {
+		return fmt.Errorf("core: ThresholdScale must be finite and non-negative, got %v", opt.ThresholdScale)
+	}
+	if opt.FixedThreshold != nil && math.IsNaN(*opt.FixedThreshold) {
+		return fmt.Errorf("core: FixedThreshold is NaN")
+	}
+	if !(opt.FDRAlpha > 0 && opt.FDRAlpha < 1) {
+		return fmt.Errorf("core: FDRAlpha must be in (0,1), got %v", opt.FDRAlpha)
 	}
 	if opt.ShardCount < 0 {
 		return fmt.Errorf("core: ShardCount must be non-negative, got %d", opt.ShardCount)
@@ -369,17 +376,18 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 		tel.prune = rec.Histogram("core/search/prune")
 	}
 	thresholdSpan := rec.StartSpan("core/threshold")
+	// Every selector reads the run-length value pool the pairwise stage
+	// counted; its run count is what the selectors' cost scales with.
+	pool := imi.valuePool()
+	rec.Counter("core/threshold/pool_runs").Add(int64(len(pool.pos)))
 	var autoTau float64
 	switch opt.ThresholdMethod {
 	case ThresholdAuto:
-		// Both selectors consume the same run-length value pool (no second
-		// O(n²) triangle is materialized); build it once and share it.
-		pool := imi.valuePool()
 		autoTau = max(pool.twoMeansTau(), pool.fdrTau(sm.Beta(), opt.FDRAlpha))
 	case ThresholdFDR:
-		autoTau = imi.valuePool().fdrTau(sm.Beta(), opt.FDRAlpha)
+		autoTau = pool.fdrTau(sm.Beta(), opt.FDRAlpha)
 	case ThresholdKMeans, ThresholdKMeansPerNode:
-		autoTau = imi.valuePool().twoMeansTau()
+		autoTau = pool.twoMeansTau()
 	default:
 		return nil, fmt.Errorf("core: unknown threshold method %d", opt.ThresholdMethod)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -76,6 +78,63 @@ func TestInferErrors(t *testing.T) {
 	}
 	if _, err := Infer(randomStatus(10, 3, 1), Options{ThresholdScale: -2}); err == nil {
 		t.Fatal("negative ThresholdScale should fail")
+	}
+}
+
+// TestInferRejectsBadThresholdOptions checks that threshold options that
+// would panic in the FDR selector, or silently yield a NaN or infinite τ,
+// are rejected up front on every entry point, while valid edge values pass.
+func TestInferRejectsBadThresholdOptions(t *testing.T) {
+	sm := randomStatus(40, 6, 1)
+	nan, negInf := math.NaN(), math.Inf(-1)
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		ok   bool
+	}{
+		{"FDRAlpha 1.5", Options{FDRAlpha: 1.5}, false},
+		{"FDRAlpha 1", Options{FDRAlpha: 1}, false},
+		{"FDRAlpha -0.1", Options{FDRAlpha: -0.1}, false},
+		{"FDRAlpha NaN", Options{FDRAlpha: nan}, false},
+		{"FDRAlpha NaN under KMeans", Options{FDRAlpha: nan, ThresholdMethod: ThresholdKMeans}, false},
+		{"ThresholdScale NaN", Options{ThresholdScale: nan}, false},
+		{"ThresholdScale +Inf", Options{ThresholdScale: math.Inf(1)}, false},
+		{"FixedThreshold NaN", Options{FixedThreshold: &nan}, false},
+		{"FDRAlpha 0.5", Options{FDRAlpha: 0.5}, true},
+		{"default options", Options{}, true},
+		{"FixedThreshold -Inf", Options{FixedThreshold: &negInf}, true},
+	} {
+		for _, sparse := range []bool{false, true} {
+			opt := tc.opt
+			opt.Sparse = sparse
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s (sparse=%v): panic %v", tc.name, sparse, r)
+					}
+				}()
+				_, err = Infer(sm, opt)
+			}()
+			if (err == nil) != tc.ok {
+				t.Fatalf("%s (sparse=%v): err = %v, want ok=%v", tc.name, sparse, err, tc.ok)
+			}
+		}
+		counts := NewIncrementalCounts(sm.N(), false)
+		for p := 0; p < sm.Beta(); p++ {
+			var row []int
+			for v := 0; v < sm.N(); v++ {
+				if sm.Get(p, v) {
+					row = append(row, v)
+				}
+			}
+			if err := counts.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := InferFromCounts(context.Background(), sm, counts, tc.opt); (err == nil) != tc.ok {
+			t.Fatalf("%s (incremental): err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 
